@@ -32,7 +32,6 @@ from .dualgraph import (
 from .duality import (
     JointColorLaw,
     cone_window,
-    dual_sample,
     duality_gof_test,
     exact_dual_law,
     exact_forward_law,
@@ -62,7 +61,6 @@ from .models import (
     potts_rates,
     simple_vmp,
     simulate,
-    step_slice,
     transition_distribution,
 )
 from .scaling import (

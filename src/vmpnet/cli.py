@@ -21,19 +21,12 @@ import numpy as np
 
 from .coloring import ColorDistribution, boundary_table_from
 from .dualgraph import dag_from_json, dag_to_dot, dag_to_json, reduce_dag
-from .duality import (
-    as_query_points,
-    dual_sample_many,
-    exact_dual_law,
-    exact_forward_law,
-    oracle_settings,
-    run_duality_gate,
-)
+from .duality import GATE_NEED, _encode_tuples, as_query_points, dual_sample_many, run_duality_gate
 from .errors import BudgetError, GateFailure, ParityError, StateSpaceError, VmpNetError, WindowError
 from .models import VmpParams, potts_params, potts_rates, simple_vmp, simulate
 from .runio import ConfigError, RunDir, canonical_json, expect, expect_number_list
 from .scaling import ScalingSchedule, coarsening_gate, marginal_convergence_experiment
-from .verify import run_all
+from .verify import gate_oracle_equality, run_all
 
 _GUARD_ERRORS = (WindowError, ParityError, StateSpaceError, BudgetError)
 
@@ -157,6 +150,8 @@ def cmd_dual_sample(args) -> int:
     params = parse_model(cfg.get("model_config", cfg) if "model" in cfg or "model_config" in cfg else _flags_model(args))
     points = _parse_points(cfg, args.points)
     trials = args.trials if args.trials is not None else expect(cfg, "trials", int)
+    if trials <= 0:
+        raise ConfigError(f"trials must be positive, got {trials}")
     run = RunDir(args.out, "dual-sample", {"cfg": cfg, "points": [list(p) for p in points], "trials": trials}, seed)
     t0 = time.monotonic()
     samples = dual_sample_many(params, points, seed, trials)
@@ -164,10 +159,7 @@ def cmd_dual_sample(args) -> int:
     lines += [f"{i}," + ",".join(str(int(c)) for c in row) for i, row in enumerate(samples)]
     run.write("samples.csv", "\n".join(lines) + "\n")
     q = params.q
-    codes = np.zeros(samples.shape[0], dtype=np.int64)
-    for j in range(samples.shape[1]):
-        codes = codes * q + samples[:, j].astype(np.int64) - 1
-    counts = np.bincount(codes, minlength=q ** samples.shape[1])
+    counts = np.bincount(_encode_tuples(samples, q), minlength=q ** samples.shape[1])
     run.write_json(
         "counts.json",
         {
@@ -188,14 +180,12 @@ def cmd_check_duality(args) -> int:
     trials = args.trials if args.trials is not None else int(cfg.get("trials", 100_000))
     run = RunDir(args.out, "check-duality", {"cfg": cfg, "trials": trials}, seed)
     t0 = time.monotonic()
-    rows = []
-    worst = 0.0
-    for st in oracle_settings():
-        tv = exact_forward_law(st["params"], st["points"]).tvd(exact_dual_law(st["params"], st["points"]))
-        worst = max(worst, tv)
-        rows.append({"setting": st["name"], "tvd": tv})
-    oracle_pass = worst <= 1e-10
-    print(f"oracle equality: max TVD {worst:.3e} over {len(rows)} settings -> {'pass' if oracle_pass else 'FAIL'}")
+    oracle = gate_oracle_equality()
+    oracle_pass = oracle["pass"]
+    print(
+        f"oracle equality: max TVD {oracle['max_tvd']:.3e} over {len(oracle['settings'])} settings "
+        f"-> {'pass' if oracle_pass else 'FAIL'}"
+    )
 
     reports = run_duality_gate(trials, seed, corrupt_dual=args.corrupt, workers=args.workers)
     n_pass = sum(1 for r in reports if r["pass"])
@@ -207,9 +197,9 @@ def cmd_check_duality(args) -> int:
         for rep in reports
     ]
     run.write("reports.jsonl", "\n".join(jsonl) + "\n")
-    run.write_json("oracle_report.json", {"settings": rows, "max_tvd": worst, "pass": oracle_pass})
+    run.write_json("oracle_report.json", {k: oracle[k] for k in ("settings", "max_tvd", "pass")})
     run.finish(time.monotonic() - t0)
-    gate_pass = n_pass >= len(reports) - 2
+    gate_pass = n_pass >= GATE_NEED
     for rep in reports:
         print(f"  {rep['setting']:22s} p={rep['p_value']:.4f} tvd={rep['tvd']:.4f} {'pass' if rep['pass'] else 'fail'}")
     print(f"statistical gate ({'corrupted' if args.corrupt else 'honest'}): {n_pass}/{len(reports)} pass")

@@ -170,21 +170,6 @@ def dual_colors_graph(
     return tuple(out)
 
 
-def dual_sample(
-    params: VmpParams,
-    points,
-    seed: int,
-    window: Window | None = None,
-    method: str = "genealogy",
-) -> tuple[int, ...]:
-    """One joint dual draw: all query points share the field and uniforms."""
-    if method == "genealogy":
-        return dual_colors_genealogy(params, seed, points, window)
-    if method == "graph":
-        return dual_colors_graph(params, seed, points, window)
-    raise InvalidParameterError(f"unknown method {method!r}")
-
-
 def dual_sample_many(
     params: VmpParams,
     points,
@@ -651,6 +636,11 @@ def oracle_settings() -> list[dict]:
         {"name": "q3-nowalk-mix-t2", "params": _q3_asym(0.5, 0.3), "points": [(1, 2)]},
     ]
     return settings
+
+
+#: Of the 20 gate settings, at least this many must pass on honest samples
+#: and fail on the corrupted dual; the two Potts settings are the slack.
+GATE_NEED = 18
 
 
 def gate_settings() -> list[dict]:

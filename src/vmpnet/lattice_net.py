@@ -334,6 +334,18 @@ def backward_field(f: ArrowField) -> ArrowField:
     return ArrowField(w, f.b, f.kappa, f.seed, -f.direction, grid, reflect)
 
 
+def _step_positions(net, positions: set[int], u: int) -> set[int]:
+    """Positions reached one step past time u along the arrows at u."""
+    nxt: set[int] = set()
+    for x in positions:
+        out = net.outcome_at(x, u)
+        if out is ArrowOutcome.LEFT_ONLY or out is ArrowOutcome.BOTH:
+            nxt.add(x - 1)
+        if out is ArrowOutcome.RIGHT_ONLY or out is ArrowOutcome.BOTH:
+            nxt.add(x + 1)
+    return nxt
+
+
 def reachable_positions(
     net, starts: set[int], t_from: int, t_to: int, x_bounds: tuple[int, int] | None = None
 ) -> dict[int, set[int]]:
@@ -352,13 +364,7 @@ def reachable_positions(
     current = set(starts)
     u = t_from
     while u != t_to and current:
-        nxt: set[int] = set()
-        for x in current:
-            out = net.outcome_at(x, u)
-            if out is ArrowOutcome.LEFT_ONLY or out is ArrowOutcome.BOTH:
-                nxt.add(x - 1)
-            if out is ArrowOutcome.RIGHT_ONLY or out is ArrowOutcome.BOTH:
-                nxt.add(x + 1)
+        nxt = _step_positions(net, current, u)
         if x_bounds is not None:
             nxt = {x for x in nxt if x_bounds[0] <= x <= x_bounds[1]}
         u += d

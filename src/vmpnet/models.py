@@ -27,13 +27,12 @@ import numpy as np
 from .coloring import (
     BoundaryTable,
     ColorDistribution,
-    color_from_uniform,
     point_mass,
     uniform_boundary_table,
     uniform_colors,
 )
 from .errors import InvalidParameterError, WindowError
-from .rng import BELOW_ONE, rescale_uniform, vertex_uniform, vertex_uniform_grid
+from .rng import BELOW_ONE, vertex_uniform_grid
 
 _SUM_TOL = 1e-12
 
@@ -128,44 +127,6 @@ class ColorField:
         return "\n".join(lines) + "\n"
 
 
-def _site_color(params: VmpParams, u: float, left: int, right: int) -> int:
-    """Nested inverse CDF: move choice, then color choice, one uniform."""
-    half_w = 0.5 * params.w
-    if u < half_w:
-        return left
-    if u < params.w:
-        return right
-    if u < 1.0 - params.kappa:
-        return color_from_uniform(
-            rescale_uniform(u, params.w, params.b), params.g.dist(left, right)
-        ) if left != right else left
-    return color_from_uniform(rescale_uniform(u, 1.0 - params.kappa, params.kappa), params.p)
-
-
-def initial_slice(params: VmpParams, xs: list[int], seed: int) -> dict[int, int]:
-    """Product measure with marginal lam, keyed per site."""
-    return {x: color_from_uniform(vertex_uniform(seed, x, 0), params.lam) for x in xs}
-
-
-def step_slice(
-    row: dict[int, int], t: int, params: VmpParams, seed: int
-) -> dict[int, int]:
-    """One parallel update: returns the slice at time t+1.
-
-    The new slice covers exactly the sites whose two neighbors are present;
-    raises WindowError when that set is empty (window underflow).
-    """
-    out: dict[int, int] = {}
-    for x in row:
-        if x - 2 in row:
-            site = x - 1
-            u = vertex_uniform(seed, site, t + 1)
-            out[site] = _site_color(params, u, row[x - 2], row[x])
-    if not out:
-        raise WindowError(f"slice at t={t} too narrow to advance")
-    return out
-
-
 def simulate(
     params: VmpParams,
     x_lo: int,
@@ -175,7 +136,8 @@ def simulate(
     initial: dict[int, int] | None = None,
     parity: str = "odd",
 ) -> ColorField:
-    """Iterate ``step_slice`` from a product(lam) base on [x_lo, x_hi].
+    """The forward chain from a product(lam) base on [x_lo, x_hi], every
+    slice recorded.
 
     Deterministic in ``seed``.  The base must be wide enough for the
     requested number of steps (shrinks by one site per side per step).
@@ -188,16 +150,14 @@ def simulate(
         raise WindowError(
             f"base [{x_lo},{x_hi}] has {len(xs)} sites; too narrow for {steps} steps"
         )
-    if initial is None:
-        row = initial_slice(params, xs, seed)
-    else:
-        row = {x: initial[x] for x in xs if x in initial}
-        if sorted(row) != xs:
+    colors = None
+    if initial is not None:
+        if not all(x in initial for x in xs):
             raise WindowError("explicit initial slice does not cover the base")
-    slices = [(0, row)]
-    for t in range(steps):
-        row = step_slice(row, t, params, seed)
-        slices.append((t + 1, row))
+        colors = np.array([[initial[x] for x in xs]], dtype=np.uint8)
+    seeds = np.array([seed % (1 << 64)], dtype=np.uint64)
+    rows = _forward_rows(params, seeds, np.array(xs, dtype=np.int64), colors, steps)
+    slices = [(t, dict(zip(xs_t.tolist(), colors_t[0].tolist()))) for t, xs_t, colors_t in rows]
     return ColorField(parity, slices)
 
 
@@ -207,45 +167,20 @@ def _invcdf_rows(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return (u[..., None] >= cum[..., : q - 1]).sum(axis=-1).astype(np.uint8) + 1
 
 
-def forward_batch(
-    params: VmpParams,
-    seeds: np.ndarray,
-    x_lo: int,
-    x_hi: int,
-    record: list[tuple[int, int]],
-) -> np.ndarray:
-    """Many independent forward runs at once, one seed per trial row.
+def _forward_rows(params: VmpParams, seeds: np.ndarray, xs: np.ndarray, colors, steps: int):
+    """Yield (t, xs_t, colors_t) for t = 0..steps, one row of colors per seed.
 
-    Returns an int array (len(seeds), len(record)) of colors at the
-    requested (x, t) sites.  Bit-identical to per-trial ``simulate``.
+    Each slice covers the midpoints of the previous one.  ``colors`` of
+    None draws the base from lam, keyed per site at t = 0.
     """
-    record_t = {t for _, t in record}
-    t_max = max(record_t)
-    xs = np.arange(x_lo + (x_lo + 1) % 2, x_hi + 1, 2, dtype=np.int64)
-    for rx, rt in record:
-        if (rx + rt) % 2 != 1:
-            raise InvalidParameterError(f"record site ({rx},{rt}) not on odd sublattice")
-        if not (x_lo + rt <= rx <= x_hi - rt):
-            raise WindowError(f"record site ({rx},{rt}) outside the shrinking cone")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    n = seeds.shape[0]
-    lam_cum = np.asarray(params.lam.cum)
+    if colors is None:
+        u = vertex_uniform_grid(seeds[:, None], xs[None, :], np.int64(0))
+        colors = _invcdf_rows(u, np.asarray(params.lam.cum))
     p_cum = np.asarray(params.p.cum)
     g_cum = params.g.cum_array()
     w, b, kappa = params.w, params.b, params.kappa
-
-    u = vertex_uniform_grid(seeds[:, None], xs[None, :], np.int64(0))
-    colors = _invcdf_rows(u, lam_cum)
-    out = np.zeros((n, len(record)), dtype=np.uint8)
-
-    def capture(t, xs_now, colors_now):
-        for j, (rx, rt) in enumerate(record):
-            if rt == t:
-                col = int(np.searchsorted(xs_now, rx))
-                out[:, j] = colors_now[:, col]
-
-    capture(0, xs, colors)
-    for t in range(1, t_max + 1):
+    yield 0, xs, colors
+    for t in range(1, steps + 1):
         xs_new = xs[:-1] + 1
         left = colors[:, :-1]
         right = colors[:, 1:]
@@ -263,7 +198,35 @@ def forward_batch(
                 uk = np.minimum((u - (1.0 - kappa)) / kappa, BELOW_ONE)
                 new = np.where(mask, _invcdf_rows(uk, p_cum), new)
         xs, colors = xs_new, new
-        capture(t, xs, colors)
+        yield t, xs, colors
+
+
+def forward_batch(
+    params: VmpParams,
+    seeds: np.ndarray,
+    x_lo: int,
+    x_hi: int,
+    record: list[tuple[int, int]],
+) -> np.ndarray:
+    """Many independent forward runs at once, one seed per trial row.
+
+    Returns an int array (len(seeds), len(record)) of colors at the
+    requested (x, t) sites.  Bit-identical to per-trial ``simulate``.
+    """
+    t_max = max(t for _, t in record)
+    xs = np.arange(x_lo + (x_lo + 1) % 2, x_hi + 1, 2, dtype=np.int64)
+    for rx, rt in record:
+        if (rx + rt) % 2 != 1:
+            raise InvalidParameterError(f"record site ({rx},{rt}) not on odd sublattice")
+        if not (x_lo + rt <= rx <= x_hi - rt):
+            raise WindowError(f"record site ({rx},{rt}) outside the shrinking cone")
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    out = np.zeros((seeds.shape[0], len(record)), dtype=np.uint8)
+    for t, xs_now, colors_now in _forward_rows(params, seeds, xs, None, t_max):
+        for j, (rx, rt) in enumerate(record):
+            if rt == t:
+                col = int(np.searchsorted(xs_now, rx))
+                out[:, j] = colors_now[:, col]
     return out
 
 

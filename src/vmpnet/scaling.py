@@ -18,9 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import BoundaryTable, ColorDistribution, uniform_boundary_table, uniform_colors
-from .duality import JointColorLaw, cone_window, dual_colors_genealogy, pooled_two_sample_chisquare
+from .duality import (
+    JointColorLaw,
+    _encode_tuples,
+    cone_window,
+    dual_colors_genealogy,
+    pooled_two_sample_chisquare,
+)
 from .errors import BudgetError, InvalidParameterError, WindowError
-from .lattice_net import ArrowOutcome, Vertex, Window, reachable_positions
+from .lattice_net import ArrowOutcome, Vertex, Window, _step_positions, reachable_positions
 from .models import VmpParams, simple_vmp
 from .parallel import parallel_map
 from .rng import derive_seed, derive_seed_array
@@ -215,23 +221,12 @@ def _families_separate(net, z: Vertex, horizon: int) -> bool:
         meet = left & right
         if meet:
             return any(net.outcome_at(x, u) is ArrowOutcome.NONE for x in meet)
-        left = _advance(net, left, u)
-        right = _advance(net, right, u)
+        left = _step_positions(net, left, u)
+        right = _step_positions(net, right, u)
         if not left or not right:
             return True
         u += 1
     return True
-
-
-def _advance(net, positions: set[int], u: int) -> set[int]:
-    nxt: set[int] = set()
-    for x in positions:
-        out = net.outcome_at(x, u)
-        if out is ArrowOutcome.LEFT_ONLY or out is ArrowOutcome.BOTH:
-            nxt.add(x - 1)
-        if out is ArrowOutcome.RIGHT_ONLY or out is ArrowOutcome.BOTH:
-            nxt.add(x + 1)
-    return nxt
 
 
 def separation_point_census(net, s_time: int, t_time: int, x_lo: int, x_hi: int) -> int:
@@ -265,14 +260,11 @@ def _marginal_chunk(job, levels, seed, q, k):
     n, c0, c1 = job
     lv = levels[n]
     seeds = derive_seed_array(seed, c0, c1, "marginal", n)
-    counts = np.zeros(q ** k, dtype=np.int64)
-    for s in seeds:
-        colors = dual_colors_genealogy(lv["params"], int(s), lv["snapped"], lv["window"])
-        code = 0
-        for c in colors:
-            code = code * q + (c - 1)
-        counts[code] += 1
-    return counts
+    colors = np.array(
+        [dual_colors_genealogy(lv["params"], int(s), lv["snapped"], lv["window"]) for s in seeds],
+        dtype=np.uint8,
+    )
+    return np.bincount(_encode_tuples(colors, q), minlength=q ** k)
 
 
 def _interface_chunk(job, levels, seed):

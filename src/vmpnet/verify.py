@@ -13,13 +13,7 @@ import random
 
 import numpy as np
 
-from .coloring import (
-    ColorDistribution,
-    boundary_table_from,
-    color_dag,
-    uniform_boundary_table,
-    uniform_colors,
-)
+from .coloring import color_dag, uniform_boundary_table, uniform_colors
 from .dualgraph import (
     RootedDag,
     build_dag,
@@ -28,6 +22,9 @@ from .dualgraph import (
     relevant_points_bruteforce,
 )
 from .duality import (
+    GATE_NEED,
+    _q2_asym,
+    _q3_asym,
     exact_dual_law,
     exact_forward_law,
     oracle_settings,
@@ -140,14 +137,14 @@ def gate_duality_statistics(trials: int, seed: int, workers: int = 1, alpha: flo
     )
     n_pass = sum(1 for r in honest if r["pass"])
     n_fail_corrupt = sum(1 for r in corrupt if not r["pass"])
-    ok = n_pass >= 18 and n_fail_corrupt >= 18
+    ok = n_pass >= GATE_NEED and n_fail_corrupt >= GATE_NEED
     return {
         "name": "duality-statistical-gate",
         "trials": trials,
         "alpha": alpha,
         "honest_pass": n_pass,
         "corrupt_fail": n_fail_corrupt,
-        "need": 18,
+        "need": GATE_NEED,
         "honest": honest,
         "corrupt": corrupt,
         "pass": ok,
@@ -164,21 +161,8 @@ _BK_GRID = [(0.1, 0.0), (0.1, 0.1), (0.25, 0.05), (0.25, 0.15), (0.4, 0.0), (0.4
 def _fuzz_coloring_inputs(q: int, style: int):
     if style == 0:
         return uniform_boundary_table(q), uniform_colors(q), uniform_colors(q)
-    if q == 2:
-        g = boundary_table_from(2, {(1, 2): (0.85, 0.15), (2, 1): (0.25, 0.75)})
-        return g, ColorDistribution(2, (0.6, 0.4)), ColorDistribution(2, (0.3, 0.7))
-    g = boundary_table_from(
-        3,
-        {
-            (1, 2): (0.2, 0.1, 0.7),
-            (2, 1): (0.6, 0.3, 0.1),
-            (1, 3): (0.3, 0.5, 0.2),
-            (3, 1): (0.1, 0.2, 0.7),
-            (2, 3): (0.5, 0.3, 0.2),
-            (3, 2): (0.15, 0.25, 0.6),
-        },
-    )
-    return g, ColorDistribution(3, (0.5, 0.3, 0.2)), ColorDistribution(3, (0.25, 0.35, 0.4))
+    params = _q2_asym(0.3, 0.1) if q == 2 else _q3_asym(0.3, 0.1)
+    return params.g, params.lam, params.p
 
 
 def fuzz_dag(index: int, seed: int, t_lo: int = 2, t_hi: int = 8) -> tuple[RootedDag, int]:

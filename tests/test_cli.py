@@ -2,6 +2,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from vmpnet.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -143,3 +145,14 @@ def test_reduce_graph_from_field_fixture(tmp_path):
     assert len(full["vertices"]) == 7 and len(red["vertices"]) == 4
     code = run_cli("reduce-graph", "--out", tmp_path / "bad", "--seed", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("trials", ["-3", "0"])
+def test_dual_sample_nonpositive_trials_is_config_error(tmp_path, trials):
+    out = tmp_path / "ds"
+    code = run_cli(
+        "dual-sample", "--beta", "1.0", "--q", "2", "--points", "-1,2 1,2",
+        "--trials", trials, "--seed", "3", "--out", out,
+    )
+    assert code == 2
+    assert not out.exists()

@@ -10,7 +10,6 @@ from vmpnet.duality import (
     corrupted,
     dual_colors_genealogy,
     dual_colors_graph,
-    dual_sample,
     dual_sample_many,
     duality_gof_test,
     exact_dual_law,
@@ -142,7 +141,6 @@ def test_genealogy_equals_graph_sampler():
         assert dual_colors_genealogy(params, seed, pts, win) == dual_colors_graph(
             params, seed, pts, win
         )
-    assert dual_sample(params, pts, 17) == dual_sample(params, pts, 17, method="graph")
 
 
 def test_forward_dual_same_seed_coupling():

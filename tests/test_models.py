@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from vmpnet.coloring import point_mass, uniform_boundary_table, uniform_colors
+from vmpnet.duality import _q3_asym
 from vmpnet.errors import InvalidParameterError, WindowError
 from vmpnet.models import (
     GeneralVmpSpec,
@@ -19,7 +21,6 @@ from vmpnet.models import (
     potts_rates,
     simple_vmp,
     simulate,
-    step_slice,
     transition_distribution,
 )
 from vmpnet.rng import derive_seed_array
@@ -117,7 +118,7 @@ def test_transition_potts_values():
 def test_step_pure_walk_preserves_unanimity():
     params = simple_vmp(3, 0.0, 0.0)
     row = {x: 2 for x in range(-7, 8, 2)}
-    out = step_slice(row, 0, params, 1)
+    out = simulate(params, -7, 7, 1, 1, initial=row).slice_at(1)
     assert set(out.values()) == {2}
     assert sorted(out) == list(range(-6, 7, 2))
 
@@ -125,16 +126,37 @@ def test_step_pure_walk_preserves_unanimity():
 def test_step_kappa_one_resamples_from_bulk():
     params = VmpParams(3, 0.0, 0.0, 1.0, uniform_boundary_table(3), point_mass(3, 2), uniform_colors(3))
     row = {x: 1 for x in range(-7, 8, 2)}
-    out = step_slice(row, 0, params, 1)
+    out = simulate(params, -7, 7, 1, 1, initial=row).slice_at(1)
     assert set(out.values()) == {2}
 
 
 def test_step_window_underflow():
     params = simple_vmp(2, 0.0, 0.0)
     with pytest.raises(WindowError):
-        step_slice({1: 1}, 0, params, 1)
+        simulate(params, 1, 1, 1, 1, initial={1: 1})
     with pytest.raises(WindowError):
         simulate(params, 0, 3, 5, seed=1)
+    with pytest.raises(WindowError):
+        simulate(params, -3, 3, 1, 1, initial={-3: 1, 1: 1, 3: 1})
+
+
+@pytest.mark.parametrize(
+    "params, x_lo, x_hi, steps, seed, extra, digest",
+    [
+        (potts_params(1.5, 3), -40, 40, 12, 7, {},
+         "a4eb4a43f02b52e8e30258c3427e733e4f6137d052ff1eabe7240f940152430b"),
+        (_q3_asym(0.3, 0.1), -60, 60, 30, 11, {},
+         "2a982dfdda6bd7ffc7fe2ed8e79f741e56f4ce058f8e482f7f7a58267bd88b56"),
+        (_q3_asym(0.3, 0.1), -20, 20, 8, 4,
+         {"initial": {x: 1 + (x // 2) % 3 for x in range(-20, 21, 2)}, "parity": "even"},
+         "acf7c207cbed22955ebf4d9ee78e5dde0eafc476b4b9a9336dc7736a87432e03"),
+    ],
+)
+def test_simulate_golden_csv(params, x_lo, x_hi, steps, seed, extra, digest):
+    # digests of the CSVs written by the former per-site scalar chain
+    field = simulate(params, x_lo, x_hi, steps, seed, **extra)
+    assert hashlib.sha256(field.to_csv().encode()).hexdigest() == digest
+    assert {type(v) for _, row in field.slices for v in (*row, *row.values())} == {int}
 
 
 def test_simulate_deterministic():
@@ -333,7 +355,7 @@ def test_one_step_disagreeing_neighbors_law():
     counts = np.zeros(3)
     row = {-1: 1, 1: 2}
     for seed in range(n):
-        out = step_slice(row, 0, params, seed)
+        out = simulate(params, -1, 1, 1, seed, initial=row).slice_at(1)
         counts[out[0] - 1] += 1
     for c in range(3):
         p = expected[c]
