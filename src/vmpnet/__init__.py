@@ -10,8 +10,6 @@ from .coloring import (
     boundary_table_from,
     color_dag,
     color_from_uniform,
-    color_leaves,
-    color_root_via_reduction,
     point_mass,
     uniform_boundary_table,
     uniform_colors,
@@ -42,12 +40,9 @@ from .lattice_net import (
     ArrowField,
     ArrowOutcome,
     KeyedNet,
-    LatticePath,
     Vertex,
     Window,
-    backward_field,
     sample_arrow_field,
-    trace_extremal_path,
 )
 from .models import (
     ColorField,
@@ -68,7 +63,5 @@ from .scaling import (
     ScalingSchedule,
     interface_census,
     marginal_convergence_experiment,
-    max_colors_check,
-    separation_point_census,
     snap,
 )

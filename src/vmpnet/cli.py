@@ -21,7 +21,14 @@ import numpy as np
 
 from .coloring import ColorDistribution, boundary_table_from
 from .dualgraph import dag_from_json, dag_to_dot, dag_to_json, reduce_dag
-from .duality import GATE_NEED, _encode_tuples, as_query_points, dual_sample_many, run_duality_gate
+from .duality import (
+    GATE_NEED,
+    GOF_MIN_TRIALS,
+    _encode_tuples,
+    as_query_points,
+    dual_sample_many,
+    run_duality_gate,
+)
 from .errors import BudgetError, GateFailure, ParityError, StateSpaceError, VmpNetError, WindowError
 from .models import VmpParams, potts_params, potts_rates, simple_vmp, simulate
 from .runio import ConfigError, RunDir, canonical_json, expect, expect_number_list
@@ -125,9 +132,9 @@ def cmd_simulate(args) -> int:
     x_lo = args.x_lo if args.x_lo is not None else expect(cfg, "x_lo", int)
     x_hi = args.x_hi if args.x_hi is not None else expect(cfg, "x_hi", int)
     steps = args.steps if args.steps is not None else expect(cfg, "steps", int)
-    run = RunDir(args.out, "simulate", {"cfg": cfg, "x_lo": x_lo, "x_hi": x_hi, "steps": steps}, seed)
     t0 = time.monotonic()
     field = simulate(params, x_lo, x_hi, steps, seed)
+    run = RunDir(args.out, "simulate", {"cfg": cfg, "x_lo": x_lo, "x_hi": x_hi, "steps": steps}, seed)
     run.write("colorfield.csv", field.to_csv())
     if args.ascii:
         art = _ascii_map(field)
@@ -178,6 +185,8 @@ def cmd_check_duality(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
     trials = args.trials if args.trials is not None else int(cfg.get("trials", 100_000))
+    if trials < GOF_MIN_TRIALS:
+        raise ConfigError(f"check-duality needs at least {GOF_MIN_TRIALS} trials per side, got {trials}")
     run = RunDir(args.out, "check-duality", {"cfg": cfg, "trials": trials}, seed)
     t0 = time.monotonic()
     oracle = gate_oracle_equality()

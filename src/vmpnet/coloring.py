@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, ReductionError
-from .dualgraph import DagKind, RootedDag, reduce_dag
+from .errors import InvalidParameterError
+from .dualgraph import DagKind, RootedDag
 from .lattice_net import Vertex
 
 MAX_COLORS = 255
@@ -100,10 +100,6 @@ class BoundaryTable:
     def dist(self, k: int, l: int) -> ColorDistribution:
         return self.entries[k - 1][l - 1]
 
-    def weights_array(self) -> np.ndarray:
-        """(q, q, q) array: [k-1, l-1, i-1] = g[k, l](i)."""
-        return self._weights
-
     def cum_array(self) -> np.ndarray:
         return self._cum
 
@@ -137,6 +133,8 @@ def boundary_table_from(q: int, offdiag: dict[tuple[int, int], Sequence[float]])
         for l in range(1, q + 1):
             if k == l:
                 row.append(point_mass(q, k))
+            elif (k, l) not in offdiag:
+                raise InvalidParameterError(f"boundary table is missing the off-diagonal pair g[{k},{l}]")
             else:
                 row.append(ColorDistribution(q, tuple(float(w) for w in offdiag[(k, l)])))
         rows.append(row)
@@ -148,17 +146,6 @@ def boundary_table_from(q: int, offdiag: dict[tuple[int, int], Sequence[float]])
 # ---------------------------------------------------------------------------
 
 DagColoring = dict[Vertex, int]
-
-
-def color_leaves(dag: RootedDag, lam: ColorDistribution, p: ColorDistribution) -> DagColoring:
-    """Color exactly the leaves: horizon leaves via lam, killing leaves via p."""
-    colors: DagColoring = {}
-    for v, kind in dag.kinds.items():
-        if kind is DagKind.TIME_ZERO_LEAF:
-            colors[v] = color_from_uniform(dag.uniforms[v], lam)
-        elif kind is DagKind.KILLING_LEAF:
-            colors[v] = color_from_uniform(dag.uniforms[v], p)
-    return colors
 
 
 def topological_order(dag: RootedDag) -> list[Vertex]:
@@ -205,18 +192,3 @@ def color_dag(
         else:
             colors[v] = color_from_uniform(dag.uniforms[v], g.dist(kid_colors[0], kid_colors[1]))
     return colors
-
-
-def color_root_via_reduction(
-    dag: RootedDag, g: BoundaryTable, lam: ColorDistribution, p: ColorDistribution
-) -> int:
-    """Root color computed on the reduced graph, asserted equal to the full
-    graph's root color (same uniforms)."""
-    red = reduce_dag(dag)
-    full_colors = color_dag(dag, g, lam, p)
-    red_colors = color_dag(red, g, lam, p)
-    if full_colors[dag.root] != red_colors[dag.root]:
-        raise ReductionError(
-            f"reduced root color {red_colors[dag.root]} != full color {full_colors[dag.root]}"
-        )
-    return red_colors[dag.root]

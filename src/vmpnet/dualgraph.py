@@ -342,20 +342,68 @@ def dag_to_json(dag: RootedDag) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _field(rec, key: str, typ, where: str):
+    """``rec[key]`` checked to be of ``typ`` (never a bool)."""
+    if not isinstance(rec, dict) or key not in rec:
+        raise InvalidParameterError(f"dag JSON: {where} needs the field {key!r}")
+    val = rec[key]
+    if not isinstance(val, typ) or isinstance(val, bool):
+        raise InvalidParameterError(f"dag JSON: {where}.{key} has the wrong type ({val!r})")
+    return val
+
+
 def dag_from_json(text: str) -> RootedDag:
-    doc = json.loads(text)
-    verts = [Vertex(rec["x"], rec["t"]) for rec in doc["vertices"]]
-    kinds = {v: DagKind(rec["kind"]) for v, rec in zip(verts, doc["vertices"])}
-    uniforms = {
-        v: rec["uniform"] for v, rec in zip(verts, doc["vertices"]) if "uniform" in rec
-    }
+    """Parse the ``dag_to_json`` format and check it with ``validate_dag``;
+    malformed input raises InvalidParameterError."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidParameterError(f"dag JSON: not valid JSON ({exc})") from None
+    records = _field(doc, "vertices", list, "document")
+    verts = [
+        Vertex(_field(rec, "x", int, f"vertices[{i}]"), _field(rec, "t", int, f"vertices[{i}]"))
+        for i, rec in enumerate(records)
+    ]
+    if len(set(verts)) != len(verts):
+        raise InvalidParameterError("dag JSON: a vertex is listed twice")
+    kinds: dict[Vertex, DagKind] = {}
+    uniforms: dict[Vertex, float] = {}
+    for i, (v, rec) in enumerate(zip(verts, records)):
+        kind = _field(rec, "kind", str, f"vertices[{i}]")
+        if kind not in {k.value for k in DagKind}:
+            raise InvalidParameterError(f"dag JSON: vertices[{i}].kind {kind!r} is not a vertex kind")
+        kinds[v] = DagKind(kind)
+        if "uniform" in rec:
+            u = _field(rec, "uniform", (int, float), f"vertices[{i}]")
+            if not 0.0 <= u < 1.0:
+                raise InvalidParameterError(f"dag JSON: vertices[{i}].uniform {u!r} outside [0, 1)")
+            uniforms[v] = u
     children: dict[Vertex, list[Vertex]] = {v: [] for v in verts}
-    for e in doc["edges"]:
-        for _ in range(e.get("multiplicity", 1)):
-            children[verts[e["parent"]]].append(verts[e["child"]])
-    root = Vertex(doc["root"]["x"], doc["root"]["t"])
-    cls = ReducedDag if doc.get("reduced") else RootedDag
-    return cls(root, kinds, {v: tuple(cs) for v, cs in children.items()}, uniforms)
+    for j, e in enumerate(_field(doc, "edges", list, "document")):
+        parent, child = (_field(e, key, int, f"edges[{j}]") for key in ("parent", "child"))
+        if not (0 <= parent < len(verts) and 0 <= child < len(verts)):
+            raise InvalidParameterError(
+                f"dag JSON: edges[{j}] has a vertex index outside 0..{len(verts) - 1}"
+            )
+        mult = _field(e, "multiplicity", int, f"edges[{j}]") if "multiplicity" in e else 1
+        kids = children[verts[parent]]
+        if mult < 1 or len(kids) + mult > 2:
+            raise InvalidParameterError(
+                f"dag JSON: edges[{j}] gives vertex {parent} an out-degree outside 1..2"
+            )
+        kids += [verts[child]] * mult
+    root_rec = _field(doc, "root", dict, "document")
+    root = Vertex(_field(root_rec, "x", int, "root"), _field(root_rec, "t", int, "root"))
+    reduced = doc.get("reduced", False)
+    if not isinstance(reduced, bool):
+        raise InvalidParameterError(f"dag JSON: reduced must be true or false, got {reduced!r}")
+    cls = ReducedDag if reduced else RootedDag
+    dag = cls(root, kinds, {v: tuple(cs) for v, cs in children.items()}, uniforms)
+    try:
+        validate_dag(dag)
+    except ReductionError as exc:
+        raise InvalidParameterError(f"dag JSON: {exc}") from None
+    return dag
 
 
 def dag_to_dot(dag: RootedDag) -> str:
@@ -379,7 +427,7 @@ def dag_to_dot(dag: RootedDag) -> str:
 
 
 def validate_dag(dag: RootedDag) -> None:
-    """Check structural invariants; raises on violation (used by tests)."""
+    """Check structural invariants; raises ReductionError on violation."""
     if dag.root not in dag.kinds:
         raise ReductionError("root missing")
     seen = set()

@@ -82,12 +82,6 @@ class JointColorLaw:
     def k(self) -> int:
         return self.probs.ndim
 
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        return {
-            tuple(i + 1 for i in idx): float(self.probs[idx])
-            for idx in np.ndindex(self.probs.shape)
-        }
-
     def tvd(self, other: "JointColorLaw") -> float:
         return 0.5 * float(np.abs(self.probs - other.probs).sum())
 
@@ -170,19 +164,11 @@ def dual_colors_graph(
     return tuple(out)
 
 
-def dual_sample_many(
-    params: VmpParams,
-    points,
-    master_seed: int,
-    trials: int,
-    window: Window | None = None,
-    trial_offset: int = 0,
-) -> np.ndarray:
-    """(trials, k) dual colors; trial i uses the seed derived from index
-    trial_offset + i, so results are independent of chunking."""
+def dual_sample_many(params: VmpParams, points, master_seed: int, trials: int) -> np.ndarray:
+    """(trials, k) dual colors; trial i uses the seed derived from index i."""
     pts = as_query_points(points)
-    win = window if window is not None else cone_window(pts)
-    seeds = derive_seed_array(master_seed, trial_offset, trial_offset + trials, "dual-trial")
+    win = cone_window(pts)
+    seeds = derive_seed_array(master_seed, 0, trials, "dual-trial")
     out = np.zeros((trials, len(pts)), dtype=np.uint8)
     for i in range(trials):
         out[i] = dual_colors_genealogy(params, int(seeds[i]), pts, win)
@@ -190,12 +176,7 @@ def dual_sample_many(
 
 
 def forward_sample_many(
-    params: VmpParams,
-    points,
-    master_seed: int,
-    trials: int,
-    trial_offset: int = 0,
-    batch: int = 1 << 14,
+    params: VmpParams, points, master_seed: int, trials: int, batch: int = 1 << 14
 ) -> np.ndarray:
     """(trials, k) forward colors via the vectorized chain, seeds per index."""
     pts = as_query_points(points)
@@ -204,8 +185,7 @@ def forward_sample_many(
     done = 0
     while done < trials:
         n = min(batch, trials - done)
-        lo = trial_offset + done
-        seeds = derive_seed_array(master_seed, lo, lo + n, "forward-trial")
+        seeds = derive_seed_array(master_seed, done, done + n, "forward-trial")
         out[done : done + n] = forward_batch(
             params, seeds, win.x_min, win.x_max, [(v.x, v.t) for v in pts]
         )
@@ -230,9 +210,7 @@ def _queries_law(law: np.ndarray, dims: list[Vertex], pts: list[Vertex], q: int)
     return JointColorLaw(q, out)
 
 
-def exact_forward_law(
-    params: VmpParams, points, window: Window | None = None, max_states: int = 250_000
-) -> JointColorLaw:
+def exact_forward_law(params: VmpParams, points, max_states: int = 250_000) -> JointColorLaw:
     """Exact k-point law of the forward chain by joint-configuration DP.
 
     Starts from the product(lam) law on the union of dependence-cone bases
@@ -244,10 +222,6 @@ def exact_forward_law(
     pts = as_query_points(points)
     q = params.q
     t_max = max(v.t for v in pts)
-    if window is not None:
-        need = cone_window(pts)
-        if not (window.x_min <= need.x_min and window.x_max >= need.x_max):
-            raise WindowError(f"window {window} does not cover the dependence cones {need}")
 
     def sites_at(s: int) -> list[int]:
         xs = set()
@@ -311,25 +285,15 @@ def exact_forward_law(
 # Exact dual oracle
 # ---------------------------------------------------------------------------
 
-def exact_dual_law(
-    params: VmpParams,
-    points,
-    window: Window | None = None,
-    max_configs: int = 300_000,
-    max_states: int = 250_000,
-    hybrid_samples: int | None = None,
-    hybrid_seed: int = 0,
-) -> JointColorLaw:
+def exact_dual_law(params: VmpParams, points, max_configs: int = 300_000) -> JointColorLaw:
     """Exact joint law of the dual root colors.
 
-    Full-enumeration mode sums over every arrow configuration of the
-    decision cone (vertices with 1 <= t <= root time), weighting each by
-    its probability; for each configuration the exact root-color joint law
-    is propagated leaves-to-roots over the shared DAG union, with the
-    coloring uniforms integrated out exactly.  Outcomes with probability
-    zero are never enumerated.  Hybrid mode replaces the enumeration with
-    ``hybrid_samples`` keyed-sampled fields and averages the per-field
-    exact color laws (Monte Carlo over arrows, exact over colors).
+    Sums over every arrow configuration of the decision cone (vertices
+    with 1 <= t <= root time), weighting each by its probability; for each
+    configuration the exact root-color joint law is propagated
+    leaves-to-roots over the shared DAG union, with the coloring uniforms
+    integrated out exactly.  Outcomes with probability zero are never
+    enumerated.
     """
     pts = as_query_points(points)
     q = params.q
@@ -341,42 +305,25 @@ def exact_dual_law(
             for x in range(v.x - (v.t - t), v.x + (v.t - t) + 1, 2)
         }
     )
-    if window is not None:
-        need = cone_window(pts)
-        if not (window.x_min <= need.x_min and window.x_max >= need.x_max):
-            raise WindowError(f"window {window} does not cover the dependence cones {need}")
 
     w, b, kappa = params.w, params.b, params.kappa
     outcome_probs = [(0, 0.5 * w), (1, 0.5 * w), (2, b), (3, kappa)]  # L, R, Both, None
     support = [(o, pr) for o, pr in outcome_probs if pr > 0.0]
 
+    n_configs = len(support) ** len(decision)
+    if n_configs > max_configs:
+        raise StateSpaceError(
+            f"{n_configs} arrow configurations exceed cap {max_configs}; shrink the instance"
+        )
     total = np.zeros((q,) * len(pts))
-    if hybrid_samples is None:
-        n_configs = len(support) ** len(decision)
-        if n_configs > max_configs:
-            raise StateSpaceError(
-                f"{n_configs} arrow configurations exceed cap {max_configs}; "
-                "shrink the instance or use hybrid mode"
-            )
-        for assignment in itertools.product(support, repeat=len(decision)):
-            weight = 1.0
-            outcomes = {}
-            for v, (o, pr) in zip(decision, assignment):
-                weight *= pr
-                outcomes[v] = o
-            law = _dag_union_law(params, pts, outcomes)
-            total += weight * law
-    else:
-        from .lattice_net import outcome_from_uniform
-
-        for i in range(hybrid_samples):
-            seed_i = derive_seed(hybrid_seed, "dual-hybrid", i)
-            outcomes = {
-                v: int(outcome_from_uniform(vertex_uniform(seed_i, v.x, v.t), b, kappa))
-                for v in decision
-            }
-            total += _dag_union_law(params, pts, outcomes)
-        total /= hybrid_samples
+    for assignment in itertools.product(support, repeat=len(decision)):
+        weight = 1.0
+        outcomes = {}
+        for v, (o, pr) in zip(decision, assignment):
+            weight *= pr
+            outcomes[v] = o
+        law = _dag_union_law(params, pts, outcomes)
+        total += weight * law
     return JointColorLaw(q, total)
 
 
@@ -530,6 +477,10 @@ def corrupted(params: VmpParams) -> VmpParams:
     )
 
 
+#: Fewest draws per side the statistical gate accepts.
+GOF_MIN_TRIALS = 10_000
+
+
 def duality_gof_test(
     params: VmpParams,
     points,
@@ -545,8 +496,8 @@ def duality_gof_test(
     table (power check).  Report includes the statistic, dof, p-value and
     the total variation distance between the two empirical laws.
     """
-    if trials < 10_000:
-        raise InvalidParameterError("GOF gate needs at least 10^4 trials per side")
+    if trials < GOF_MIN_TRIALS:
+        raise InvalidParameterError(f"GOF gate needs at least {GOF_MIN_TRIALS} trials per side")
     pts = as_query_points(points)
     q = params.q
     fwd = forward_sample_many(params, pts, derive_seed(seed, "gof-forward"), trials)

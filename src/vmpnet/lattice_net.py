@@ -74,10 +74,6 @@ class Window:
             for x in self.columns(t):
                 yield Vertex(x, t)
 
-    @property
-    def n_vertices(self) -> int:
-        return sum(len(self.columns(t)) for t in range(self.t_min, self.t_max + 1))
-
 
 def validate_probabilities(b: float, kappa: float) -> None:
     if not (isinstance(b, (int, float)) and isinstance(kappa, (int, float))):
@@ -107,10 +103,6 @@ class ArrowField:
 
     ``direction`` tells how outcomes are read: vertex (x, t) sends its
     arrows to (x - 1, t + direction) and/or (x + 1, t + direction).
-    ``time_reflect``, when set, records that the field is a reflection
-    about (t_min + t_max) / 2: the vertex at (x, t) then carries the keyed
-    uniform of its pre-image (x, time_reflect - t), so outcomes and
-    uniforms stay consistent after reflection.
     """
 
     window: Window
@@ -119,7 +111,6 @@ class ArrowField:
     seed: int
     direction: int = FORWARD
     _grid: np.ndarray = field(default=None, repr=False)  # uint8 (rows, cols)
-    time_reflect: int | None = None
 
     def __post_init__(self):
         validate_probabilities(self.b, self.kappa)
@@ -143,19 +134,7 @@ class ArrowField:
 
     def uniform_at(self, x: int, t: int) -> float:
         self._index(x, t)  # parity/window validation
-        t_src = t if self.time_reflect is None else self.time_reflect - t
-        return vertex_uniform(self.seed, x, t_src)
-
-    def children(self, v: Vertex) -> tuple[Vertex, ...]:
-        out = self.outcome_at(v.x, v.t)
-        td = v.t + self.direction
-        if out is ArrowOutcome.LEFT_ONLY:
-            return (Vertex(v.x - 1, td),)
-        if out is ArrowOutcome.RIGHT_ONLY:
-            return (Vertex(v.x + 1, td),)
-        if out is ArrowOutcome.BOTH:
-            return (Vertex(v.x - 1, td), Vertex(v.x + 1, td))
-        return ()
+        return vertex_uniform(self.seed, x, t)
 
     def outcomes(self) -> dict[Vertex, ArrowOutcome]:
         return {v: self.outcome_at(v.x, v.t) for v in self.window.vertices()}
@@ -166,8 +145,6 @@ class ArrowField:
         header = f"window {w.x_min} {w.x_max} {w.t_min} {w.t_max} {self.b!r} {self.kappa!r} {self.seed}"
         if self.direction == BACKWARD:
             header += " backward"
-        if self.time_reflect is not None:
-            header += f" reflect {self.time_reflect}"
         rows = []
         for t in range(w.t_min, w.t_max + 1):
             r = t - w.t_min
@@ -177,36 +154,33 @@ class ArrowField:
 
     @classmethod
     def from_text(cls, text: str) -> "ArrowField":
+        """Parse the ``to_text`` format; malformed text raises
+        InvalidParameterError."""
         lines = text.strip("\n").split("\n")
         head = lines[0].split()
-        if head[0] != "window" or len(head) < 8:
+        if len(head) not in (8, 9) or head[0] != "window" or head[8:] not in ([], ["backward"]):
             raise InvalidParameterError(f"bad field header: {lines[0]!r}")
-        x_min, x_max, t_min, t_max = (int(v) for v in head[1:5])
-        b, kappa = float(head[5]), float(head[6])
-        seed = int(head[7])
-        extra = head[8:]
-        direction = FORWARD
-        time_reflect = None
-        if extra and extra[0] == "backward":
-            direction = BACKWARD
-            extra = extra[1:]
-        if len(extra) == 2 and extra[0] == "reflect":
-            time_reflect = int(extra[1])
-            extra = extra[2:]
-        if extra:
-            raise InvalidParameterError(f"bad field header tokens: {lines[0]!r}")
+        try:
+            x_min, x_max, t_min, t_max, seed = (int(v) for v in head[1:5] + head[7:8])
+            b, kappa = float(head[5]), float(head[6])
+        except ValueError:
+            raise InvalidParameterError(f"bad field header numbers: {lines[0]!r}") from None
+        if x_min > x_max or t_min > t_max:
+            raise InvalidParameterError(f"empty window in field header: {lines[0]!r}")
         window = Window(x_min, x_max, t_min, t_max)
-        n_rows = t_max - t_min + 1
-        if len(lines) - 1 != n_rows:
-            raise InvalidParameterError(f"expected {n_rows} body rows, got {len(lines) - 1}")
-        width = max(len(window.columns(t)) for t in range(t_min, t_max + 1))
-        grid = np.zeros((n_rows, width), dtype=np.uint8)
-        for r, line in enumerate(lines[1:]):
-            n = len(window.columns(t_min + r))
+        rows = lines[1:]
+        if len(rows) != t_max - t_min + 1:
+            raise InvalidParameterError(f"expected {t_max - t_min + 1} body rows, got {len(rows)}")
+        widths = [len(window.columns(t)) for t in range(t_min, t_max + 1)]
+        for r, (line, n) in enumerate(zip(rows, widths)):
             if len(line) != n:
                 raise InvalidParameterError(f"row {r}: expected {n} outcome chars, got {len(line)}")
-            grid[r, :n] = [int(_CHAR_TO_OUTCOME[c]) for c in line]
-        return cls(window, b, kappa, seed, direction, grid, time_reflect)
+            if not set(line) <= _CHAR_TO_OUTCOME.keys():
+                raise InvalidParameterError(f"row {r}: outcome chars must be among {_OUTCOME_CHARS!r}")
+        grid = np.zeros((len(rows), max(widths)), dtype=np.uint8)
+        for r, line in enumerate(rows):
+            grid[r, : len(line)] = [int(_CHAR_TO_OUTCOME[c]) for c in line]
+        return cls(window, b, kappa, seed, BACKWARD if head[8:] else FORWARD, grid)
 
 
 def sample_arrow_field(
@@ -258,80 +232,6 @@ class KeyedNet:
 
     def uniform_at(self, x: int, t: int) -> float:
         return vertex_uniform(self.seed, x, t)
-
-
-@dataclass(frozen=True)
-class LatticePath:
-    """A traced path: x positions at consecutive times from ``start``.
-
-    ``terminal`` is "killed" (ending at ``killed_at``, an arrowless vertex)
-    or "horizon" (alive at the window's last row in trace direction).
-    """
-
-    start: Vertex
-    positions: tuple[int, ...]
-    terminal: str
-    killed_at: Vertex | None = None
-
-    def __post_init__(self):
-        if self.terminal not in ("killed", "horizon"):
-            raise InvalidParameterError(f"bad terminal {self.terminal!r}")
-
-    def vertices(self, direction: int) -> list[Vertex]:
-        return [Vertex(x, self.start.t + i * direction) for i, x in enumerate(self.positions)]
-
-
-LEFTMOST = "leftmost"
-RIGHTMOST = "rightmost"
-
-
-def trace_extremal_path(field: ArrowField, start: Vertex, side: str) -> LatticePath:
-    """Follow arrows from ``start`` until killed or reaching the horizon.
-
-    At a branching vertex the leftmost trace takes the left arrow and the
-    rightmost the right arrow.  Raises WindowError if the trace would step
-    outside the window sideways.
-    """
-    if side not in (LEFTMOST, RIGHTMOST):
-        raise InvalidParameterError(f"side must be {LEFTMOST!r} or {RIGHTMOST!r}")
-    horizon = field.window.t_max if field.direction == FORWARD else field.window.t_min
-    x, t = start
-    positions = [x]
-    while True:
-        out = field.outcome_at(x, t)  # validates parity and window
-        if out is ArrowOutcome.NONE:
-            return LatticePath(start, tuple(positions), "killed", Vertex(x, t))
-        if t == horizon:
-            return LatticePath(start, tuple(positions), "horizon")
-        if out is ArrowOutcome.LEFT_ONLY:
-            x = x - 1
-        elif out is ArrowOutcome.RIGHT_ONLY:
-            x = x + 1
-        else:
-            x = x - 1 if side == LEFTMOST else x + 1
-        t += field.direction
-        if not (field.window.x_min <= x <= field.window.x_max):
-            raise WindowError(f"path escaped window sideways at ({x},{t}); widen the window")
-        positions.append(x)
-
-
-def backward_field(f: ArrowField) -> ArrowField:
-    """Time-reflect a field about its window's temporal midpoint.
-
-    Reflection maps (x, t) to (x, t_min + t_max - t), keeps each outcome's
-    left/right label, flips the arrow direction and carries each vertex's
-    keyed uniform along (see ArrowField.time_reflect).  Requires
-    t_min + t_max even so the odd sublattice maps to itself.  Involution.
-    """
-    w = f.window
-    total = w.t_min + w.t_max
-    if total % 2 != 0:
-        raise ParityError(
-            f"window times sum to odd ({w.t_min}+{w.t_max}); reflection would flip sublattice parity"
-        )
-    grid = f._grid[::-1].copy()
-    reflect = None if f.time_reflect == total else total
-    return ArrowField(w, f.b, f.kappa, f.seed, -f.direction, grid, reflect)
 
 
 def _step_positions(net, positions: set[int], u: int) -> set[int]:

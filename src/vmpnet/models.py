@@ -144,6 +144,8 @@ def simulate(
     ``initial`` overrides the seeded product draw; extra sites of the wrong
     parity are ignored.
     """
+    if steps < 0:
+        raise InvalidParameterError(f"steps must be non-negative, got {steps}")
     want = 1 if parity == "odd" else 0
     xs = [x for x in range(x_lo, x_hi + 1) if x % 2 == want]
     if len(xs) <= steps:
@@ -302,10 +304,7 @@ class GeneralVmpSpec:
     ``kernel`` maps displacement to weight (zero mean); ``neighbor_law``
     maps N-tuples of displacements to weight; ``g`` maps N-tuples of colors
     to the boundary color distribution, with g[c,...,c] a point mass at c.
-    ``voter_correction``, when given, maps a local configuration to an
-    additive adjustment of the voter part (how level-dependent corrections
-    such as the biased-voter remainder enter); it must sum to zero over
-    colors.  Used for transition evaluation and decomposition checks only.
+    Used for transition evaluation and decomposition checks only.
     """
 
     q: int
@@ -317,7 +316,6 @@ class GeneralVmpSpec:
     neighbor_law: dict[tuple[int, ...], float]
     g: dict[tuple[int, ...], ColorDistribution]
     p: ColorDistribution
-    voter_correction: object = None  # callable local -> np.ndarray, or None
 
     def __post_init__(self):
         if abs(sum(self.kernel.values()) - 1.0) > _SUM_TOL:
@@ -337,11 +335,6 @@ class GeneralVmpSpec:
         out = np.zeros(self.q)
         for y, k in self.kernel.items():
             out[local[y] - 1] += k
-        if self.voter_correction is not None:
-            adj = np.asarray(self.voter_correction(local), dtype=np.float64)
-            if abs(adj.sum()) > _SUM_TOL:
-                raise InvalidParameterError("voter correction must sum to zero over colors")
-            out = out + adj
         return out
 
     def boundary_distribution(self, local: dict[int, int]) -> np.ndarray:
@@ -555,22 +548,6 @@ class NbvDecomposition:
         for key in ((2, 1, 1), (1, 2, 1), (1, 1, 2)):
             table[key] = weak
         return table
-
-    def as_general_spec(self) -> GeneralVmpSpec:
-        neighbor_law = {
-            (y1, y2, y3): 0.125 for y1 in (-1, 1) for y2 in (-1, 1) for y3 in (-1, 1)
-        }
-        return GeneralVmpSpec(
-            q=2,
-            w=self.w_eps,
-            b=self.b_eps,
-            kappa=self.kappa_eps,
-            kernel=dict(_NN_KERNEL),
-            n_neighbors=3,
-            neighbor_law=neighbor_law,
-            g=self.g_table(),
-            p=ColorDistribution(2, (1.0 - self.alpha, self.alpha)),
-        )
 
 
 def noisy_biased_voter_decomposition(

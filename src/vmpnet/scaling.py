@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import BoundaryTable, ColorDistribution, uniform_boundary_table, uniform_colors
+from .coloring import ColorDistribution, uniform_boundary_table, uniform_colors
 from .duality import (
     JointColorLaw,
     _encode_tuples,
@@ -37,20 +37,16 @@ class ScalingSchedule:
     """Per-level parameters with exact diffusive ratios.
 
     Level n has eps = eps_levels[n], branching b*eps and killing
-    kappa*eps^2 (exact by construction, not approximated).  Noises
-    (g, p, lam) are fixed across levels by default; per-level overrides are
-    allowed.
+    kappa*eps^2 (exact by construction, not approximated).  The boundary
+    table is uniform; the noises p and lam are fixed across levels.
     """
 
     eps_levels: tuple[float, ...]
     b: float
     kappa: float
     q: int
-    g: BoundaryTable | None = None
     p: ColorDistribution | None = None
     lam: ColorDistribution | None = None
-    g_levels: tuple[BoundaryTable, ...] | None = None
-    p_levels: tuple[ColorDistribution, ...] | None = None
 
     def __post_init__(self):
         eps = self.eps_levels
@@ -68,8 +64,8 @@ class ScalingSchedule:
 
     def level_params(self, n: int) -> VmpParams:
         e = self.eps_levels[n]
-        g = self.g_levels[n] if self.g_levels else (self.g or uniform_boundary_table(self.q))
-        p = self.p_levels[n] if self.p_levels else (self.p or uniform_colors(self.q))
+        g = uniform_boundary_table(self.q)
+        p = self.p or uniform_colors(self.q)
         lam = self.lam or uniform_colors(self.q)
         return simple_vmp(self.q, self.b * e, self.kappa * e * e, g, p, lam)
 
@@ -148,15 +144,6 @@ def interface_census(
     return boundaries, lengths
 
 
-def max_colors_check(slice_row: dict[int, int], x_lo: int, x_hi: int) -> dict[int, int]:
-    """Histogram of per-midpoint effective color multiplicity: 2 where the
-    one-sided colors (left/right lattice neighbors) disagree, 1 elsewhere."""
-    xs = sorted(x for x in slice_row if x_lo <= x <= x_hi)
-    pairs = list(zip(xs, xs[1:]))
-    two = sum(1 for a, b in pairs if slice_row[a] != slice_row[b])
-    return {1: len(pairs) - two, 2: two}
-
-
 def genealogy_slice(
     params: VmpParams, seed: int, xs: list[int], t: int, window: Window
 ) -> dict[int, int]:
@@ -227,10 +214,6 @@ def _families_separate(net, z: Vertex, horizon: int) -> bool:
             return True
         u += 1
     return True
-
-
-def separation_point_census(net, s_time: int, t_time: int, x_lo: int, x_hi: int) -> int:
-    return len(relevant_separation_points(net, s_time, t_time, x_lo, x_hi))
 
 
 # ---------------------------------------------------------------------------

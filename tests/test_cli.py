@@ -3,14 +3,28 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmpnet.cli import main
+from vmpnet.dualgraph import dag_from_json
+from vmpnet.errors import VmpNetError
+from vmpnet.lattice_net import ArrowField
 
 FIXTURES = Path(__file__).parent / "fixtures"
+DAG_TEXT = (FIXTURES / "branching_demo_dag.json").read_text()
+FIELD_TEXT = (FIXTURES / "branching_demo_field.txt").read_text()
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def assert_one_line_error(capsys, out):
+    """The run failed with a one-line message and left no output directory."""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_potts_params_prints_values(capsys):
@@ -84,14 +98,25 @@ def test_missing_seed_is_config_error(tmp_path):
     assert code == 2
 
 
-def test_bad_model_config_is_config_error(tmp_path):
+def test_bad_model_config_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"model": "potts", "q": 3, "seed": 1, "x_lo": -4, "x_hi": 4, "steps": 1}))
-    assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "y") == 2
-    cfg.write_text(json.dumps({"model": "lv", "seed": 1}))
-    assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "y") == 2
-    cfg.write_text("{not json")
-    assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "y") == 2
+    missing_g21 = {
+        "model": "simple", "q": 2, "b": 0.2, "kappa": 0.1, "g": {"1,2": [0.8, 0.2]},
+        "seed": 1, "x_lo": -4, "x_hi": 4, "steps": 1,
+    }
+    for text in (
+        json.dumps({"model": "potts", "q": 3, "seed": 1, "x_lo": -4, "x_hi": 4, "steps": 1}),
+        json.dumps({"model": "lv", "seed": 1}),
+        "{not json",
+        json.dumps(missing_g21),
+    ):
+        cfg.write_text(text)
+        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "y") == 2
+        assert_one_line_error(capsys, tmp_path / "y")
+    out = tmp_path / "ds"
+    cfg.write_text(json.dumps({**missing_g21, "points": [[-1, 2], [1, 2]], "trials": 10}))
+    assert run_cli("dual-sample", "--config", cfg, "--out", out) == 2
+    assert_one_line_error(capsys, out)
 
 
 def test_window_guard_is_exit_3(tmp_path):
@@ -156,3 +181,92 @@ def test_dual_sample_nonpositive_trials_is_config_error(tmp_path, trials):
     )
     assert code == 2
     assert not out.exists()
+
+
+def test_simulate_negative_steps_is_config_error(tmp_path, capsys):
+    out = tmp_path / "sim"
+    code = run_cli("simulate", "--beta", "1.5", "--q", "3", "--x-lo", "-10", "--x-hi", "10",
+                   "--steps", "-5", "--seed", "1", "--out", out)
+    assert code == 2
+    assert_one_line_error(capsys, out)
+
+
+def test_check_duality_too_few_trials_is_config_error(tmp_path, capsys):
+    out = tmp_path / "cd"
+    assert run_cli("check-duality", "--trials", "0", "--seed", "2", "--out", out) == 2
+    assert_one_line_error(capsys, out)
+
+
+def _dag_with_root_edge(child: int) -> str:
+    doc = json.loads(DAG_TEXT)
+    assert doc["edges"][4] == {"parent": 3, "child": 5, "multiplicity": 1}  # root (1,4) -> (2,3)
+    doc["edges"][4]["child"] = child
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--fixture", _dag_with_root_edge(3)),
+        ("--fixture", _dag_with_root_edge(99)),
+        ("--fixture", DAG_TEXT[: len(DAG_TEXT) // 2]),
+        ("--field-fixture", ""),
+        ("--field-fixture", FIELD_TEXT.replace("-4 4 0 4", "-4 4 0 four", 1)),
+        ("--field-fixture", FIELD_TEXT.replace("LLBL", "LLQL", 1)),
+    ],
+    ids=["root-to-root-edge", "edge-index-out-of-range", "truncated-json",
+         "empty-field", "non-integer-header", "unknown-outcome-letter"],
+)
+def test_reduce_graph_malformed_fixture_is_config_error(tmp_path, capsys, flag, text):
+    fixture = tmp_path / "fixture"
+    fixture.write_text(text)
+    out = tmp_path / "rg"
+    code = run_cli("reduce-graph", flag, fixture, "--root", "1,4", "--out", out, "--seed", "0")
+    assert code == 2
+    assert_one_line_error(capsys, out)
+
+
+def _splice(text: str, lo: int, hi: int, insert: str) -> str:
+    return text[:lo] + insert + text[hi:]
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in _leaf_paths(v, path + (k,))] + [path]
+    if isinstance(obj, list):
+        return [p for i, v in enumerate(obj) for p in _leaf_paths(v, path + (i,))] + [path]
+    return [path]
+
+
+def _dag_with_value(path, value) -> str:
+    doc = json.loads(DAG_TEXT)
+    if not path:
+        return json.dumps(value)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_FIXTURE_LIKE_TEXT = st.one_of(
+    st.text(),
+    st.builds(_splice, st.sampled_from([DAG_TEXT, FIELD_TEXT]), st.integers(0, 1200),
+              st.integers(0, 1200), st.text(max_size=4)),
+    st.builds(_dag_with_value, st.sampled_from(_leaf_paths(json.loads(DAG_TEXT))), _JSON_VALUES),
+)
+
+
+@pytest.mark.parametrize("parse", [dag_from_json, ArrowField.from_text], ids=["dag", "field"])
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=_FIXTURE_LIKE_TEXT)
+def test_fixture_parsers_raise_only_package_errors(parse, text):
+    try:
+        parse(text)
+    except VmpNetError:
+        pass

@@ -11,8 +11,6 @@ from vmpnet.coloring import (
     boundary_table_from,
     color_dag,
     color_from_uniform,
-    color_leaves,
-    color_root_via_reduction,
     point_mass,
     uniform_boundary_table,
     uniform_colors,
@@ -92,25 +90,25 @@ def _demo_dag():
     return dag_from_json((FIXTURES / "branching_demo_dag.json").read_text())
 
 
-def test_color_leaves_point_mass():
+def test_color_dag_horizon_leaf_follows_lam():
     dag = _demo_dag()
-    lam = point_mass(3, 2)
-    leaves = color_leaves(dag, lam, uniform_colors(3))
-    assert leaves[Vertex(3, 0)] == 2  # horizon leaf follows lam
-    assert set(leaves) == {Vertex(3, 0), Vertex(0, 1)}
+    assert set(dag.leaves()) == {Vertex(3, 0), Vertex(0, 1)}
+    colors = color_dag(dag, uniform_boundary_table(3), point_mass(3, 2), uniform_colors(3))
+    assert colors[Vertex(3, 0)] == 2  # horizon leaf follows lam
 
 
-def test_color_leaves_killing_uses_bulk():
+def test_color_dag_killing_leaf_uses_bulk():
     dag = _demo_dag()
+    g = uniform_boundary_table(3)
     # killing leaf uniform 0.8 -> uniform bulk on 3 colors gives color 3
-    leaves = color_leaves(dag, uniform_colors(3), uniform_colors(3))
-    assert leaves[Vertex(0, 1)] == 3
+    assert color_dag(dag, g, uniform_colors(3), uniform_colors(3))[Vertex(0, 1)] == 3
+    assert color_dag(dag, g, uniform_colors(3), point_mass(3, 1))[Vertex(0, 1)] == 1
     # single killing-leaf root, bulk uniform on 3, uniform 0.5 -> color 2
     root = Vertex(1, 2)
     from vmpnet.dualgraph import RootedDag
 
     single = RootedDag(root, {root: DagKind.KILLING_LEAF}, {root: ()}, {root: 0.5})
-    assert color_leaves(single, uniform_colors(3), uniform_colors(3))[root] == 2
+    assert color_dag(single, g, uniform_colors(3), uniform_colors(3))[root] == 2
 
 
 def test_fixture_hand_coloring():
@@ -126,7 +124,6 @@ def test_fixture_hand_coloring():
     red = reduce_dag(dag)
     red_colors = color_dag(red, g, lam, p)
     assert {v: red_colors[v] for v in red.kinds} == {v: colors[v] for v in red.kinds}
-    assert color_root_via_reduction(dag, g, lam, p) == 1
 
 
 def test_unanimity_propagates():
@@ -185,7 +182,6 @@ def test_reduction_equivalence_fuzz():
         red = reduce_dag(dag)
         red_colors = color_dag(red, g, lam, p)
         assert all(red_colors[v] == full[v] for v in red.kinds)
-        assert color_root_via_reduction(dag, g, lam, p) == full[dag.root]
 
 
 def test_asymmetric_table_left_right_order():

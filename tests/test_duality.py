@@ -115,13 +115,6 @@ def test_dual_oracle_config_cap():
         exact_dual_law(params, [(1, 4)], max_configs=100)
 
 
-def test_dual_oracle_hybrid_mode_converges():
-    params = potts_params(LN2, 3)
-    exact = exact_dual_law(params, [(1, 2)])
-    approx = exact_dual_law(params, [(1, 2)], hybrid_samples=4000, hybrid_seed=5)
-    assert exact.tvd(approx) < 0.03
-
-
 def test_joint_law_validation():
     with pytest.raises(InvalidParameterError):
         JointColorLaw(2, np.array([0.5, 0.6]))

@@ -360,26 +360,3 @@ def test_one_step_disagreeing_neighbors_law():
     for c in range(3):
         p = expected[c]
         assert abs(counts[c] / n - p) <= 4 * math.sqrt(p * (1 - p) / n)
-
-
-def test_general_spec_voter_correction_reproduces_nbv():
-    d = noisy_biased_voter_decomposition(0.3, 1.0, 1.0, 2.0 ** -5)
-    base = d.as_general_spec()
-
-    def correction(local):
-        f1 = sum(0.5 for y in (-1, 1) if local[y] == 1)
-        r_over_w = d.remainder(f1) / d.w_eps
-        return np.array([r_over_w, -r_over_w])
-
-    spec = GeneralVmpSpec(
-        q=2, w=base.w, b=base.b, kappa=base.kappa, kernel=base.kernel,
-        n_neighbors=3, neighbor_law=base.neighbor_law, g=base.g, p=base.p,
-        voter_correction=correction,
-    )
-    for cl in (1, 2):
-        for cr in (1, 2):
-            local = {-1: cl, 0: 1, 1: cr}
-            f1 = sum(0.5 for c in (cl, cr) if c == 1)
-            want = noisy_biased_voter_transition(f1, 0.3, d.b_eps, d.kappa_eps)
-            got = spec.transition_distribution(local)
-            assert np.abs(got - want).max() <= 1e-14

@@ -15,10 +15,8 @@ from vmpnet.scaling import (
     interface_census,
     interface_experiment,
     marginal_convergence_experiment,
-    max_colors_check,
     potts_style_schedule,
     relevant_separation_points,
-    separation_point_census,
     snap,
 )
 
@@ -81,19 +79,17 @@ def test_interface_census_trivial():
     boundaries, lengths = interface_census(alternating, -9, 9, eps=0.25)
     assert len(boundaries) == 9
     assert all(le == 0.5 for le in lengths)  # gaps of 2 lattice units, rescaled
-    assert max_colors_check(mono, -9, 9) == {1: 9, 2: 0}
-    assert max_colors_check(alternating, -9, 9) == {1: 0, 2: 9}
 
 
 def test_separation_census_no_branching():
     net = KeyedNet(0.0, 0.1, 3, Window(-25, 25, 0, 14), direction=FORWARD)
-    assert separation_point_census(net, 0, 12, -6, 6) == 0
+    assert relevant_separation_points(net, 0, 12, -6, 6) == []
 
 
 def test_separation_census_immediate_killing():
     # kappa = 1: every walker dies at the first step; nothing to separate
     net = KeyedNet(0.0, 1.0, 3, Window(-25, 25, 0, 14), direction=FORWARD)
-    assert separation_point_census(net, 0, 12, -6, 6) == 0
+    assert relevant_separation_points(net, 0, 12, -6, 6) == []
 
 
 def test_separation_census_points_are_reachable_branch_vertices():
@@ -109,7 +105,7 @@ def test_separation_census_points_are_reachable_branch_vertices():
 def test_separation_census_window_guard():
     net = KeyedNet(0.2, 0.05, 3, Window(-5, 5, 0, 14), direction=FORWARD)
     with pytest.raises(WindowError):
-        separation_point_census(net, 0, 12, -4, 4)
+        relevant_separation_points(net, 0, 12, -4, 4)
 
 
 def test_separation_census_requires_forward_net():
@@ -117,7 +113,7 @@ def test_separation_census_requires_forward_net():
 
     net = KeyedNet(0.2, 0.05, 3, Window(-30, 30, 0, 14), direction=BACKWARD)
     with pytest.raises(InvalidParameterError):
-        separation_point_census(net, 0, 12, -4, 4)
+        relevant_separation_points(net, 0, 12, -4, 4)
 
 
 def test_separation_census_cross_level_stability():
@@ -131,7 +127,7 @@ def test_separation_census_cross_level_stability():
         for i in range(trials):
             w = Window(-x_n - t_n, x_n + t_n, 0, t_n)
             net = KeyedNet(b, kappa, derive_seed(7, "census", level_exp, i), w, direction=FORWARD)
-            out.append(separation_point_census(net, 0, t_n, -x_n, x_n))
+            out.append(len(relevant_separation_points(net, 0, t_n, -x_n, x_n)))
         return out
 
     a = counts_at(2, 120)
