@@ -45,12 +45,19 @@ def _load_config(path: str | None) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        obj = json.loads(p.read_text())
+        obj = json.loads(_read_utf8(p))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
     return obj
+
+
+def _read_utf8(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def parse_model(cfg: dict) -> VmpParams:
@@ -65,26 +72,25 @@ def parse_model(cfg: dict) -> VmpParams:
         kappa = expect(cfg, "kappa", float)
         g = None
         if "g" in cfg:
-            raw = expect(cfg, "g", dict)
             offdiag = {}
-            for key, row in raw.items():
+            for key in expect(cfg, "g", dict):
                 try:
                     k_, l_ = (int(s) for s in key.split(","))
                 except ValueError:
                     raise ConfigError(f"config.g: keys must look like 'k,l', got {key!r}") from None
-                if not isinstance(row, list):
-                    raise ConfigError(f"config.g.{key}: expected array of weights")
-                offdiag[(k_, l_)] = tuple(float(v) for v in row)
+                if k_ == l_ or not (1 <= k_ <= q and 1 <= l_ <= q):
+                    raise ConfigError(f"config.g: key {key!r} is not an off-diagonal pair of colors 1..{q}")
+                offdiag[(k_, l_)] = expect_number_list(cfg, f"g.{key}")
             g = boundary_table_from(q, offdiag)
-        p = cfg.get("p")
-        lam = cfg.get("lam")
+        p = expect_number_list(cfg, "p", required=False)
+        lam = expect_number_list(cfg, "lam", required=False)
         return simple_vmp(
             q,
             b,
             kappa,
             g,
-            ColorDistribution(q, tuple(map(float, p))) if p else None,
-            ColorDistribution(q, tuple(map(float, lam))) if lam else None,
+            ColorDistribution(q, tuple(p)) if p is not None else None,
+            ColorDistribution(q, tuple(lam)) if lam is not None else None,
         )
     if model in ("lv", "nbv"):
         raise ConfigError(
@@ -102,9 +108,9 @@ def _parse_points(cfg: dict, flag_value: str | None):
             raise ConfigError(f"--points: expected 'x,t x,t ...', got {flag_value!r}") from None
     else:
         raw = expect(cfg, "points", list)
-        if not all(isinstance(p, list) and len(p) == 2 for p in raw):
-            raise ConfigError("config.points: expected array of [x, t] pairs")
-        pts = [tuple(int(v) for v in p) for p in raw]
+        if not all(isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in raw):
+            raise ConfigError("config.points: expected array of [x, t] integer pairs")
+        pts = [tuple(p) for p in raw]
     return as_query_points(pts)
 
 
@@ -184,7 +190,7 @@ def cmd_dual_sample(args) -> int:
 def cmd_check_duality(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
-    trials = args.trials if args.trials is not None else int(cfg.get("trials", 100_000))
+    trials = args.trials if args.trials is not None else expect(cfg, "trials", int, required=False, default=100_000)
     if trials < GOF_MIN_TRIALS:
         raise ConfigError(f"check-duality needs at least {GOF_MIN_TRIALS} trials per side, got {trials}")
     run = RunDir(args.out, "check-duality", {"cfg": cfg, "trials": trials}, seed)
@@ -226,7 +232,7 @@ def cmd_reduce_graph(args) -> int:
         path = Path(args.fixture)
         if not path.exists():
             raise ConfigError(f"fixture not found: {args.fixture}")
-        dag = dag_from_json(path.read_text())
+        dag = dag_from_json(_read_utf8(path))
         cfg = {"fixture": str(args.fixture)}
     else:
         from .dualgraph import build_dag
@@ -241,7 +247,7 @@ def cmd_reduce_graph(args) -> int:
             rx, rt = (int(v) for v in args.root.split(","))
         except ValueError:
             raise ConfigError(f"--root: expected 'x,t', got {args.root!r}") from None
-        field = ArrowField.from_text(path.read_text())
+        field = ArrowField.from_text(_read_utf8(path))
         dag = build_dag(field, Vertex(rx, rt), 0)
         cfg = {"field_fixture": str(args.field_fixture), "root": [rx, rt]}
     run = RunDir(args.out, "reduce-graph", cfg, args.seed or 0)
@@ -274,15 +280,15 @@ def cmd_potts_params(args) -> int:
 def cmd_scaling_experiment(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
-    run = RunDir(args.out, "scaling-experiment", cfg, seed)
     t0 = time.monotonic()
     if args.preset == "coarsening" or cfg.get("preset") == "coarsening":
         rep = coarsening_gate(
-            trials_interface=int(cfg.get("trials_interface", 200)),
-            trials_marginal=int(cfg.get("trials_marginal", 3000)),
+            trials_interface=expect(cfg, "trials_interface", int, required=False, default=200),
+            trials_marginal=expect(cfg, "trials_marginal", int, required=False, default=3000),
             seed=seed,
             workers=args.workers,
         )
+        run = RunDir(args.out, "scaling-experiment", cfg, seed)
         run.write_json("coarsening.json", rep)
         iface = rep["interface"]
         lines = ["level,eps,mean_interfaces,sem"]
@@ -313,6 +319,7 @@ def cmd_scaling_experiment(args) -> int:
     points = [(float(p[0]), float(p[1])) for p in raw_points]
     trials = expect(cfg, "trials", int)
     rep = marginal_convergence_experiment(schedule, points, trials, seed, workers=args.workers)
+    run = RunDir(args.out, "scaling-experiment", cfg, seed)
     _write_marginal_outputs(run, rep)
     run.finish(time.monotonic() - t0)
     print(f"scaling-experiment: {len(schedule.eps_levels)} levels x {trials} trials -> {run.path}")

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .dualgraph import DagKind, RootedDag
+from .dualgraph import DagKind, RootedDag, topological_order
 from .lattice_net import Vertex
 
 MAX_COLORS = 255
@@ -36,8 +36,7 @@ class ColorDistribution:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if not (2 <= self.q <= MAX_COLORS):
-            raise InvalidParameterError(f"q must be in [2, {MAX_COLORS}], got {self.q}")
+        _check_q(self.q)
         if len(self.weights) != self.q:
             raise InvalidParameterError(f"expected {self.q} weights, got {len(self.weights)}")
         if any(w < 0 or not np.isfinite(w) for w in self.weights):
@@ -57,11 +56,18 @@ class ColorDistribution:
         return np.asarray(self.weights, dtype=np.float64)
 
 
+def _check_q(q: int) -> None:
+    if not (2 <= q <= MAX_COLORS):
+        raise InvalidParameterError(f"q must be in [2, {MAX_COLORS}], got {q}")
+
+
 def uniform_colors(q: int) -> ColorDistribution:
+    _check_q(q)
     return ColorDistribution(q, (1.0 / q,) * q)
 
 
 def point_mass(q: int, color: int) -> ColorDistribution:
+    _check_q(q)
     if not 1 <= color <= q:
         raise InvalidParameterError(f"color {color} not in 1..{q}")
     return ColorDistribution(q, tuple(1.0 if i == color - 1 else 0.0 for i in range(q)))
@@ -82,6 +88,7 @@ class BoundaryTable:
     """The q x q table of boundary distributions g[k, l], diagonal point masses."""
 
     def __init__(self, q: int, entries: Sequence[Sequence[ColorDistribution]]):
+        _check_q(q)
         if len(entries) != q or any(len(row) != q for row in entries):
             raise InvalidParameterError(f"entries must form a {q}x{q} table")
         for i in range(q):
@@ -146,12 +153,6 @@ def boundary_table_from(q: int, offdiag: dict[tuple[int, int], Sequence[float]])
 # ---------------------------------------------------------------------------
 
 DagColoring = dict[Vertex, int]
-
-
-def topological_order(dag: RootedDag) -> list[Vertex]:
-    """Leaves-to-root order; valid for full and reduced graphs since every
-    edge strictly decreases t."""
-    return sorted(dag.kinds, key=lambda v: (v.t, v.x))
 
 
 def color_dag(

@@ -3,9 +3,10 @@
 The component of the backward net grown from a root down to a horizon is a
 finite acyclic digraph whose vertices have out-degree at most two.  An
 intermediate vertex is *relevant* when two directed paths leave it and
-reach the leaves without sharing any other vertex (checked by a
-unit-vertex-capacity max-flow; a brute-force path-pair oracle is kept for
-cross-validation).  The reduced graph skips all irrelevant vertices: it
+reach the leaves without sharing any other vertex; by Menger's theorem,
+exactly when its immediate post-dominator, with all leaves joined to one
+sink, is that sink.  A brute-force path-pair oracle is kept for
+cross-validation.  The reduced graph skips all irrelevant vertices: it
 keeps the root, the relevant vertices and the leaves, and joins two kept
 vertices when some path of the original graph connects them through
 irrelevant interior vertices only.
@@ -144,70 +145,42 @@ def build_dag(net, root: Vertex, horizon: int = 0) -> RootedDag:
 # Relevance
 # ---------------------------------------------------------------------------
 
+def topological_order(dag: RootedDag) -> list[Vertex]:
+    """Leaves-to-root order; valid for full and reduced graphs since every
+    edge strictly decreases t."""
+    return sorted(dag.kinds, key=lambda v: (v.t, v.x))
+
+
 def relevant_points(dag: RootedDag) -> set[Vertex]:
-    """Intermediate vertices with two paths to the leaves disjoint except at
-    the vertex itself.
+    """Non-root vertices with two paths to the leaves disjoint except at
+    the vertex itself: those whose immediate post-dominator is the sink.
 
-    Computed per candidate by max-flow with unit vertex capacities from the
-    candidate to a super-sink over all leaves; only two-child vertices can
-    qualify.  Two paths ending at the same leaf count as meeting.
+    One leaves-to-root pass: a leaf's immediate post-dominator is the
+    sink, a one-child vertex's is its child, and a two-child vertex's is
+    the nearest common ancestor of its children in the post-dominator
+    tree.  Two paths ending at the same leaf meet there, and a repeated
+    child is its own common ancestor, so neither makes a vertex relevant.
     """
-    idx = {v: i for i, v in enumerate(sorted(dag.kinds))}
-    n = len(idx)
-    sink = 2 * n
+    sink = None
+    ipdom: dict[Vertex, Vertex | None] = {}
+    depth: dict[Vertex | None, int] = {sink: 0}
     out: set[Vertex] = set()
-    for z in dag.kinds:
-        if z == dag.root or dag.out_degree(z) != 2:
-            continue
-        if _maxflow_at_least_two(dag, idx, n, sink, z):
-            out.add(z)
+    for v in topological_order(dag):
+        kids = dag.children.get(v, ())
+        if len(kids) == 2:
+            a, b = kids
+            while a != b:  # climb the deeper branch until the two meet
+                if depth[a] >= depth[b]:
+                    a = ipdom[a]
+                else:
+                    b = ipdom[b]
+            ipdom[v] = a
+            if a is sink and v != dag.root:
+                out.add(v)
+        else:
+            ipdom[v] = kids[0] if kids else sink
+        depth[v] = depth[ipdom[v]] + 1
     return out
-
-
-def _maxflow_at_least_two(dag, idx, n, sink, z) -> bool:
-    # node 2i = v_in, 2i+1 = v_out; source = z_out (z uncapacitated).
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {}
-
-    def add(a, b_):
-        if (a, b_) not in cap:
-            cap[(a, b_)] = 0
-            cap[(b_, a)] = cap.get((b_, a), 0)
-            adj.setdefault(a, []).append(b_)
-            adj.setdefault(b_, []).append(a)
-        cap[(a, b_)] += 1
-
-    for v, kind in dag.kinds.items():
-        i = idx[v]
-        if v != z:
-            add(2 * i, 2 * i + 1)
-        if kind in LEAF_KINDS:
-            add(2 * i + 1, sink)
-        for c in set(dag.children.get(v, ())):
-            add(2 * i + 1, 2 * idx[c])
-
-    source = 2 * idx[z] + 1
-    flow = 0
-    while flow < 2:
-        # BFS augmenting path on the unit-capacity residual graph
-        parent = {source: source}
-        queue = [source]
-        while queue and sink not in parent:
-            a = queue.pop(0)
-            for b_ in adj.get(a, ()):
-                if b_ not in parent and cap.get((a, b_), 0) > 0:
-                    parent[b_] = a
-                    queue.append(b_)
-        if sink not in parent:
-            return False
-        node = sink
-        while node != source:
-            prev = parent[node]
-            cap[(prev, node)] -= 1
-            cap[(node, prev)] += 1
-            node = prev
-        flow += 1
-    return True
 
 
 def relevant_points_bruteforce(dag: RootedDag, max_paths: int = 20000) -> set[Vertex]:

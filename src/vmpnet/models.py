@@ -50,6 +50,8 @@ class VmpParams:
     lam: ColorDistribution
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.w, self.b, self.kappa)):
+            raise InvalidParameterError(f"w, b, kappa must be finite, got {(self.w, self.b, self.kappa)}")
         if min(self.w, self.b, self.kappa) < 0:
             raise InvalidParameterError("w, b, kappa must be non-negative")
         if abs(self.w + self.b + self.kappa - 1.0) > _SUM_TOL:
@@ -239,15 +241,18 @@ def forward_batch(
 def potts_rates(beta: float, q: int) -> tuple[float, float, float]:
     """Walk/branch/kill weights of the q-color Potts chain at inverse
     temperature beta; they sum to one identically."""
-    if not beta > 0:
-        raise InvalidParameterError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise InvalidParameterError(f"beta must be positive and finite, got {beta}")
     if q < 2:
         raise InvalidParameterError("q must be at least 2")
-    a = math.expm1(beta)  # e^beta - 1
-    e2 = math.exp(2 * beta)
-    w = 2 * a / (q + 2 * a)
-    b = a * a * q / (((e2 - 1) + q) * (q + 2 * a))
-    kappa = q / (e2 + (q - 1))
+    try:
+        a = math.expm1(beta)  # e^beta - 1
+        e2 = math.exp(2 * beta)
+        w = 2 * a / (q + 2 * a)
+        b = a * a * q / (((e2 - 1) + q) * (q + 2 * a))
+        kappa = q / (e2 + (q - 1))
+    except OverflowError:
+        raise InvalidParameterError(f"Potts rates overflow at beta={beta}, q={q}") from None
     return w, b, kappa
 
 

@@ -43,7 +43,7 @@ def expect(obj, path: str, typ, required: bool = True, default=None):
             return default
         cur = cur[key]
     if typ is float and isinstance(cur, int) and not isinstance(cur, bool):
-        cur = float(cur)
+        cur = _as_float(cur, path)
     wrong_type = typ is not None and not isinstance(cur, typ)
     bool_as_number = isinstance(cur, bool) and typ in (int, float)
     if wrong_type or bool_as_number:
@@ -59,7 +59,14 @@ def expect_number_list(obj, path: str, required: bool = True, default=None) -> l
         return default
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in val):
         raise ConfigError(f"config.{path}: expected array of numbers")
-    return [float(v) for v in val]
+    return [_as_float(v, path) for v in val]
+
+
+def _as_float(v: int | float, path: str) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigError(f"config.{path}: an integer is too large for a float") from None
 
 
 class RunDir:

@@ -200,8 +200,8 @@ def _reduction_chunk(bounds, seed):
 
 def gate_reduction(n_dags: int, seed: int, workers: int = 1, chunk: int = 500) -> dict:
     """Full-graph vs reduced-graph root colors on fuzzed dags, plus
-    max-flow relevance vs the brute-force path-pair oracle on every small
-    (<= 12 vertex) dag and its reduced version."""
+    post-dominator relevance vs the brute-force path-pair oracle on every
+    small (<= 12 vertex) dag and its reduced version."""
     import functools
 
     jobs = [(lo, min(lo + chunk, n_dags)) for lo in range(0, n_dags, chunk)]

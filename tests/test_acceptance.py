@@ -169,7 +169,7 @@ def test_criterion_7_reduction_equivalence(verify_runs):
     )
     report(
         7,
-        "10^4 fuzzed dags: reduced root colors identical; max-flow = brute force on small dags",
+        "10^4 fuzzed dags: reduced root colors identical; post-dominator relevance = brute force on small dags",
         ok,
         f"{gate['dags']} dags, {gate['small_dags_checked']} small checked",
     )

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from pathlib import Path
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmpnet.cli import main
+from vmpnet.cli import main, parse_model
+from vmpnet.coloring import MAX_COLORS
 from vmpnet.dualgraph import dag_from_json
 from vmpnet.errors import VmpNetError
 from vmpnet.lattice_net import ArrowField
@@ -104,13 +106,23 @@ def test_bad_model_config_is_config_error(tmp_path, capsys):
         "model": "simple", "q": 2, "b": 0.2, "kappa": 0.1, "g": {"1,2": [0.8, 0.2]},
         "seed": 1, "x_lo": -4, "x_hi": 4, "steps": 1,
     }
+    full_g = {"1,2": [0.8, 0.2], "2,1": [0.3, 0.7]}
+    potts = {"model": "potts", "q": 3, "seed": 1, "x_lo": -4, "x_hi": 4, "steps": 1}
     for text in (
-        json.dumps({"model": "potts", "q": 3, "seed": 1, "x_lo": -4, "x_hi": 4, "steps": 1}),
+        json.dumps(potts),
         json.dumps({"model": "lv", "seed": 1}),
         "{not json",
         json.dumps(missing_g21),
+        json.dumps({**missing_g21, "g": {"1,2": ["a", 0.2], "2,1": [0.3, 0.7]}}),
+        json.dumps({**missing_g21, "g": {**full_g, "1,1": [1.0, 0.0]}}),
+        json.dumps({**missing_g21, "g": {**full_g, "7,1": [0.5, 0.5]}}),
+        json.dumps({**missing_g21, "g": full_g, "p": "ab"}),
+        json.dumps({**missing_g21, "g": full_g, "lam": 5}),
+        json.dumps({**missing_g21, "g": full_g, "b": math.nan}),
+        json.dumps({**potts, "beta": math.inf}),
+        b"\xff\xfe",
     ):
-        cfg.write_text(text)
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "y") == 2
         assert_one_line_error(capsys, tmp_path / "y")
     out = tmp_path / "ds"
@@ -191,6 +203,45 @@ def test_simulate_negative_steps_is_config_error(tmp_path, capsys):
     assert_one_line_error(capsys, out)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--beta", "1000", "--q", "3", "--x-lo", "-4", "--x-hi", "4", "--steps", "1", "--seed", "1"],
+        ["simulate", "--beta", "inf", "--q", "3", "--x-lo", "-4", "--x-hi", "4", "--steps", "1", "--seed", "1"],
+        ["simulate", "--beta", "1.0", "--q", "2000000", "--x-lo", "-4", "--x-hi", "4", "--steps", "1", "--seed", "1"],
+        ["potts-params", "--beta", "1000", "--q", "3"],
+        ["potts-params", "--beta", "inf", "--q", "3"],
+    ],
+    ids=["simulate-beta-1000", "simulate-beta-inf", "simulate-q-2e6", "potts-params-beta-1000",
+         "potts-params-beta-inf"],
+)
+def test_bad_potts_flags_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--out", out) == 2
+    assert_one_line_error(capsys, out)
+
+
+_POTTS = {"model": "potts", "beta": 1.0, "q": 2, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["check-duality"], {"trials": "many", "seed": 1}),
+        (["scaling-experiment", "--preset", "coarsening"], {"trials_interface": "x", "seed": 1}),
+        (["dual-sample"], {**_POTTS, "points": [["a", 2]], "trials": 10}),
+        (["dual-sample"], {**_POTTS, "points": [[1.7, 2]], "trials": 10}),
+    ],
+    ids=["check-duality-trials", "coarsening-trials-interface", "points-string", "points-float"],
+)
+def test_bad_integer_config_field_is_config_error(tmp_path, capsys, argv, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--config", path, "--out", out) == 2
+    assert_one_line_error(capsys, out)
+
+
 def test_check_duality_too_few_trials_is_config_error(tmp_path, capsys):
     out = tmp_path / "cd"
     assert run_cli("check-duality", "--trials", "0", "--seed", "2", "--out", out) == 2
@@ -213,13 +264,16 @@ def _dag_with_root_edge(child: int) -> str:
         ("--field-fixture", ""),
         ("--field-fixture", FIELD_TEXT.replace("-4 4 0 4", "-4 4 0 four", 1)),
         ("--field-fixture", FIELD_TEXT.replace("LLBL", "LLQL", 1)),
+        ("--fixture", b"\xff\xfe"),
+        ("--field-fixture", b"\xff\xfe"),
     ],
     ids=["root-to-root-edge", "edge-index-out-of-range", "truncated-json",
-         "empty-field", "non-integer-header", "unknown-outcome-letter"],
+         "empty-field", "non-integer-header", "unknown-outcome-letter",
+         "dag-not-utf8", "field-not-utf8"],
 )
 def test_reduce_graph_malformed_fixture_is_config_error(tmp_path, capsys, flag, text):
     fixture = tmp_path / "fixture"
-    fixture.write_text(text)
+    fixture.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "rg"
     code = run_cli("reduce-graph", flag, fixture, "--root", "1,4", "--out", out, "--seed", "0")
     assert code == 2
@@ -238,15 +292,19 @@ def _leaf_paths(obj, path=()):
     return [path]
 
 
-def _dag_with_value(path, value) -> str:
-    doc = json.loads(DAG_TEXT)
+def _replaced(doc, path, value):
+    """``doc`` with the value at ``path`` replaced; an empty path replaces it all."""
     if not path:
-        return json.dumps(value)
+        return value
     node = doc
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    return json.dumps(doc)
+    return doc
+
+
+def _dag_with_value(path, value) -> str:
+    return json.dumps(_replaced(json.loads(DAG_TEXT), path, value))
 
 
 _JSON_VALUES = st.recursive(
@@ -268,5 +326,37 @@ _FIXTURE_LIKE_TEXT = st.one_of(
 def test_fixture_parsers_raise_only_package_errors(parse, text):
     try:
         parse(text)
+    except VmpNetError:
+        pass
+
+
+# A valid q builds q^2 boundary rows of q weights, so in-range integers stay small.
+_CONFIG_INTS = st.integers(-3, 8) | st.integers(min_value=MAX_COLORS + 1) | st.integers(max_value=-4)
+_CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | _CONFIG_INTS | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(["1,1", "7,1", "2,1"]), inner, max_size=3),
+    max_leaves=8,
+)
+_VALID_MODELS = [
+    {"model": "potts", "beta": 1.0, "q": 3},
+    {"model": "simple", "q": 2, "b": 0.2, "kappa": 0.1, "g": {"1,2": [0.8, 0.2], "2,1": [0.3, 0.7]},
+     "lam": [0.6, 0.4], "p": [0.5, 0.5]},
+]
+_MODEL_CONFIGS = st.one_of(
+    st.dictionaries(st.text(max_size=6), _CONFIG_VALUES, max_size=4),
+    st.builds(
+        lambda where, value: _replaced(copy.deepcopy(_VALID_MODELS[where[0]]), where[1], value),
+        st.sampled_from([(i, path) for i, doc in enumerate(_VALID_MODELS) for path in _leaf_paths(doc)]),
+        _CONFIG_VALUES,
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(cfg=_MODEL_CONFIGS)
+def test_parse_model_raises_only_package_errors(cfg):
+    try:
+        parse_model(cfg)
     except VmpNetError:
         pass

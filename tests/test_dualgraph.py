@@ -123,8 +123,28 @@ def test_coalescing_branch_not_relevant():
     assert relevant_points(dag) == set()
     assert relevant_points_bruteforce(dag) == set()
 
+    # a non-root branch whose two branches meet only at one shared leaf
+    root, z = Vertex(1, 3), Vertex(0, 2)
+    a, b = Vertex(-1, 1), Vertex(1, 1)
+    leaf = Vertex(0, 0)
+    dag = RootedDag(
+        root,
+        {
+            root: DagKind.ROOT,
+            z: DagKind.BRANCH,
+            a: DagKind.PASS_THROUGH,
+            b: DagKind.PASS_THROUGH,
+            leaf: DagKind.TIME_ZERO_LEAF,
+        },
+        {root: (z,), z: (a, b), a: (leaf,), b: (leaf,), leaf: ()},
+        {z: 0.5, leaf: 0.5},
+    )
+    validate_dag(dag)
+    assert relevant_points(dag) == set()
+    assert relevant_points_bruteforce(dag) == set()
 
-def test_maxflow_equals_bruteforce_on_fuzz():
+
+def test_relevance_equals_bruteforce_on_fuzz():
     rng = random.Random(3)
     checked = 0
     for trial in range(800):
@@ -138,6 +158,25 @@ def test_maxflow_equals_bruteforce_on_fuzz():
         assert relevant_points(red) == relevant_points_bruteforce(red)
         checked += 1
     assert checked >= 300
+
+
+def test_relevance_equals_bruteforce_on_larger_fuzz():
+    # 13-40 vertices: beyond the <= 12-vertex brute-force check of the reduction gate
+    rng = random.Random(13)
+    checked = 0
+    for trial in range(2000):
+        t = rng.randint(5, 10)
+        net, root = fuzz_net(110_000 + trial, b=rng.choice([0.15, 0.3, 0.5]), kappa=rng.choice([0.0, 0.1, 0.25]), t=t)
+        dag = build_dag(net, root, 0)
+        if not 13 <= len(dag.kinds) <= 40:
+            continue
+        assert relevant_points(dag) == relevant_points_bruteforce(dag)
+        red = reduce_dag(dag)
+        assert relevant_points(red) == relevant_points_bruteforce(red)
+        checked += 1
+        if checked == 400:
+            break
+    assert checked == 400
 
 
 # ---------------------------------------------------------------------------
