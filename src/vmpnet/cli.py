@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -314,8 +315,8 @@ def cmd_scaling_experiment(args) -> int:
         lam=ColorDistribution(q, tuple(lam)) if lam else None,
     )
     raw_points = expect(cfg, "points", list)
-    if not all(isinstance(p, list) and len(p) == 2 for p in raw_points):
-        raise ConfigError("config.points: expected array of [x, t] pairs (continuum reals)")
+    if not all(isinstance(p, list) and len(p) == 2 and all(map(_finite_number, p)) for p in raw_points):
+        raise ConfigError("config.points: expected array of [x, t] pairs of finite numbers")
     points = [(float(p[0]), float(p[1])) for p in raw_points]
     trials = expect(cfg, "trials", int)
     rep = marginal_convergence_experiment(schedule, points, trials, seed, workers=args.workers)
@@ -324,6 +325,13 @@ def cmd_scaling_experiment(args) -> int:
     run.finish(time.monotonic() - t0)
     print(f"scaling-experiment: {len(schedule.eps_levels)} levels x {trials} trials -> {run.path}")
     return 0
+
+
+def _finite_number(v) -> bool:
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 def _write_marginal_outputs(run: RunDir, rep: dict) -> None:

@@ -125,11 +125,11 @@ class BoundaryTable:
 
 
 def uniform_boundary_table(q: int) -> BoundaryTable:
-    """Uniform off-diagonal boundary noise; diagonal point masses."""
-    rows = []
-    for k in range(1, q + 1):
-        rows.append([point_mass(q, k) if k == l else uniform_colors(q) for l in range(1, q + 1)])
-    return BoundaryTable(q, rows)
+    """Uniform off-diagonal boundary noise; diagonal point masses.  The
+    q^2 - q off-diagonal entries share one distribution."""
+    uniform = uniform_colors(q)
+    masses = [point_mass(q, k) for k in range(1, q + 1)]
+    return BoundaryTable(q, [[masses[k] if k == l else uniform for l in range(q)] for k in range(q)])
 
 
 def boundary_table_from(q: int, offdiag: dict[tuple[int, int], Sequence[float]]) -> BoundaryTable:

@@ -14,30 +14,29 @@ Two independent exact oracles verify this at desk scale:
 
 The two computations share no code path beyond the parameter container, so
 their agreement to 1e-10 is a genuine check of the duality, not of a
-single implementation.  ``duality_gof_test`` adds a two-sample chi-square
-gate between large forward and dual samples drawn from disjoint seed
-streams.
+single implementation.  The one Monte-Carlo dual sampler,
+``dual_colors_genealogy``, runs a batch of trials level by level with the
+forward chain's site rule; ``dual_colors_graph`` builds each DAG and is its
+reference.  ``duality_gof_test`` adds a two-sample chi-square gate between
+large forward and dual samples drawn from disjoint seed streams.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2 as _chi2
 
-from .coloring import (
-    ColorDistribution,
-    boundary_table_from,
-    color_dag,
-    color_from_uniform,
-)
+from .coloring import ColorDistribution, boundary_table_from, color_dag
 from .dualgraph import build_dag
 from .errors import InvalidParameterError, ParityError, StateSpaceError, WindowError
-from .lattice_net import BACKWARD, KeyedNet, Vertex, Window, is_odd_vertex
-from .models import VmpParams, forward_batch, potts_params, simple_vmp, transition_distribution
-from .rng import derive_seed, derive_seed_array, rescale_uniform, vertex_uniform
+from .lattice_net import BACKWARD, ArrowOutcome, KeyedNet, Vertex, Window, arrow_outcomes, is_odd_vertex
+from .models import VmpParams, _invcdf_rows, forward_batch, potts_params, simple_vmp, site_colors
+from .models import transition_distribution
+from .rng import derive_seed, derive_seed_array, vertex_uniform_grid
 
 
 def as_query_points(points) -> list[Vertex]:
@@ -90,107 +89,101 @@ class JointColorLaw:
 # Dual sampling
 # ---------------------------------------------------------------------------
 
-def dual_colors_genealogy(
-    params: VmpParams, seed: int, points, window: Window | None = None
-) -> tuple[int, ...]:
-    """Root colors of the backward genealogies over one shared field.
+def dual_colors_genealogy(params: VmpParams, seeds, points, window: Window | None = None) -> np.ndarray:
+    """Root colors of the genealogies of ``points``, one shared field per
+    seed: an array of shape ``np.shape(seeds) + (k,)``.
 
-    Memoized top-down expansion with leaf-to-root evaluation; identical
-    output to building the DAGs explicitly and coloring them (tested), and
-    to a forward run with the same seed.
+    All trials advance together, one time level at a time.  Down from the
+    latest query time, each needed vertex is a sorted (trial, x) key that
+    adds the children its arrow outcome names; only these keys are kept.
+    Up from t = 0, each level is colored from the one below by
+    ``models.site_colors``, the forward chain's rule, so a draw equals the
+    forward run of its seed.  Raises WindowError when a genealogy leaves
+    the window's x range.
     """
     pts = as_query_points(points)
     win = window if window is not None else cone_window(pts)
-    w, b, kappa = params.w, params.b, params.kappa
-    lam, p, g = params.lam, params.p, params.g
-    half_w = 0.5 * w
-    memo: dict[tuple[int, int], int] = {}
+    if any(not win.x_min <= v.x <= win.x_max for v in pts):
+        raise WindowError(f"query points {pts} reach outside window {win}")
+    flat = np.asarray(seeds).reshape(-1)
+    # a child of a vertex in the window has x - x_min + 1 in [0, span - 1],
+    # so x +- 1 never reaches into the next trial's keys
+    span = win.x_max - win.x_min + 3
 
-    def color_of(x0: int, t0: int) -> int:
-        stack = [(x0, t0)]
-        while stack:
-            x, t = stack[-1]
-            if (x, t) in memo:
-                stack.pop()
-                continue
-            if not (win.x_min <= x <= win.x_max):
-                raise WindowError(f"genealogy escaped window at ({x},{t}); widen the window")
-            if t == 0:
-                memo[(x, t)] = color_from_uniform(vertex_uniform(seed, x, t), lam)
-                stack.pop()
-                continue
-            u = vertex_uniform(seed, x, t)
-            if u >= 1.0 - kappa:
-                memo[(x, t)] = color_from_uniform(rescale_uniform(u, 1.0 - kappa, kappa), p)
-                stack.pop()
-                continue
-            if u < half_w:
-                need = [(x - 1, t - 1)]
-            elif u < w:
-                need = [(x + 1, t - 1)]
-            else:
-                need = [(x - 1, t - 1), (x + 1, t - 1)]
-            missing = [c for c in need if c not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            if len(need) == 1:
-                memo[(x, t)] = memo[need[0]]
-            else:
-                k_, l_ = memo[need[0]], memo[need[1]]
-                if k_ == l_:
-                    memo[(x, t)] = k_
-                else:
-                    memo[(x, t)] = color_from_uniform(rescale_uniform(u, w, b), g.dist(k_, l_))
-            stack.pop()
-        return memo[(x0, t0)]
+    def uniforms(keys, t):
+        trial, col = np.divmod(keys, span)
+        return vertex_uniform_grid(flat[trial], col + (win.x_min - 1), np.int64(t))
 
-    return tuple(color_of(v.x, v.t) for v in pts)
+    def query_keys(v):
+        return np.arange(flat.size, dtype=np.int64) * span + (v.x - win.x_min + 1)
+
+    t_max = max(v.t for v in pts)
+    levels = []  # sorted keys per time, t_max first
+    keys = np.empty(0, dtype=np.int64)
+    for t in range(t_max, -1, -1):
+        keys = np.unique(np.concatenate([keys] + [query_keys(v) for v in pts if v.t == t]))
+        col = keys % span
+        if np.any((col == 0) | (col == span - 1)):
+            raise WindowError(f"genealogy escaped window {win} at t={t}; widen the window")
+        levels.append(keys)
+        if t > 0:
+            outcome = arrow_outcomes(uniforms(keys, t), params.w, params.kappa)
+            goes_left = (outcome == ArrowOutcome.LEFT_ONLY) | (outcome == ArrowOutcome.BOTH)
+            goes_right = (outcome == ArrowOutcome.RIGHT_ONLY) | (outcome == ArrowOutcome.BOTH)
+            keys = np.concatenate([keys[goes_left] - 1, keys[goes_right] + 1])
+
+    out = np.zeros((flat.size, len(pts)), dtype=np.uint8)
+    for t in range(t_max + 1):
+        keys = levels.pop()
+        u = uniforms(keys, t)
+        if t == 0:
+            colors = _invcdf_rows(u, np.asarray(params.lam.cum))
+        else:  # a child the vertex does not read looks up an arbitrary color
+            padded = np.append(colors, np.uint8(1))
+            left, right = (padded[np.searchsorted(below, keys + d)] for d in (-1, 1))
+            colors = site_colors(params, u, left, right)
+        for j, v in enumerate(pts):
+            if v.t == t:
+                out[:, j] = colors[np.searchsorted(keys, query_keys(v))]
+        below = keys
+    return out.reshape(np.shape(seeds) + (len(pts),))
 
 
-def dual_colors_graph(
-    params: VmpParams, seed: int, points, window: Window | None = None
-) -> tuple[int, ...]:
-    """Same law and values as ``dual_colors_genealogy`` but through explicit
-    RootedDag construction and the sequential coloring algorithm."""
+def dual_colors_graph(params: VmpParams, seed: int, points, window: Window | None = None) -> tuple[int, ...]:
+    """Same law and values as ``dual_colors_genealogy`` for one seed, but
+    through explicit RootedDag construction and the sequential coloring."""
     pts = as_query_points(points)
     win = window if window is not None else cone_window(pts)
     net = KeyedNet(params.b, params.kappa, seed, win, direction=BACKWARD)
-    out = []
-    for v in pts:
-        dag = build_dag(net, v, horizon=0)
-        colors = color_dag(dag, params.g, params.lam, params.p)
-        out.append(colors[v])
-    return tuple(out)
+    return tuple(color_dag(build_dag(net, v, horizon=0), params.g, params.lam, params.p)[v] for v in pts)
+
+
+#: Trials per batch of the two samplers below: bounds memory, moves no output.
+_TRIAL_BATCH = 1 << 14
+
+
+def _sample_many(sample, k: int, master_seed: int, trials: int, stream: str) -> np.ndarray:
+    """(trials, k) colors of ``sample(seeds)``; trial i uses the seed derived from index i."""
+    out = np.zeros((trials, k), dtype=np.uint8)
+    for lo in range(0, trials, _TRIAL_BATCH):
+        hi = min(lo + _TRIAL_BATCH, trials)
+        out[lo:hi] = sample(derive_seed_array(master_seed, lo, hi, stream))
+    return out
 
 
 def dual_sample_many(params: VmpParams, points, master_seed: int, trials: int) -> np.ndarray:
     """(trials, k) dual colors; trial i uses the seed derived from index i."""
     pts = as_query_points(points)
-    win = cone_window(pts)
-    seeds = derive_seed_array(master_seed, 0, trials, "dual-trial")
-    out = np.zeros((trials, len(pts)), dtype=np.uint8)
-    for i in range(trials):
-        out[i] = dual_colors_genealogy(params, int(seeds[i]), pts, win)
-    return out
+    sample = functools.partial(dual_colors_genealogy, params, points=pts, window=cone_window(pts))
+    return _sample_many(sample, len(pts), master_seed, trials, "dual-trial")
 
 
-def forward_sample_many(
-    params: VmpParams, points, master_seed: int, trials: int, batch: int = 1 << 14
-) -> np.ndarray:
+def forward_sample_many(params: VmpParams, points, master_seed: int, trials: int) -> np.ndarray:
     """(trials, k) forward colors via the vectorized chain, seeds per index."""
     pts = as_query_points(points)
     win = cone_window(pts)
-    out = np.zeros((trials, len(pts)), dtype=np.uint8)
-    done = 0
-    while done < trials:
-        n = min(batch, trials - done)
-        seeds = derive_seed_array(master_seed, done, done + n, "forward-trial")
-        out[done : done + n] = forward_batch(
-            params, seeds, win.x_min, win.x_max, [(v.x, v.t) for v in pts]
-        )
-        done += n
-    return out
+    sample = functools.partial(forward_batch, params, x_lo=win.x_min, x_hi=win.x_max, record=pts)
+    return _sample_many(sample, len(pts), master_seed, trials, "forward-trial")
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +652,6 @@ def run_duality_gate(
     workers: int = 1,
 ) -> list[dict]:
     """GOF reports for every gate setting, seeds derived per setting index."""
-    import functools
-
     from .parallel import parallel_map
 
     if settings is None:

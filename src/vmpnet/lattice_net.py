@@ -97,6 +97,16 @@ def outcome_from_uniform(u: float, b: float, kappa: float) -> ArrowOutcome:
     return ArrowOutcome.NONE
 
 
+def arrow_outcomes(u, w: float, kappa: float) -> np.ndarray:
+    """``ArrowOutcome`` codes (uint8) of uniforms u: N on [1-kappa, 1) first,
+    then B on [w, 1-kappa), R on [w/2, w) and L below.  This is the forward
+    chain's precedence; it matters only where w rounds above 1 - b - kappa."""
+    u = np.asarray(u)
+    walk = np.where(u < 0.5 * w, ArrowOutcome.LEFT_ONLY, ArrowOutcome.RIGHT_ONLY)
+    out = np.where(u < w, walk, ArrowOutcome.BOTH)
+    return np.where(u < 1.0 - kappa, out, ArrowOutcome.NONE).astype(np.uint8)
+
+
 @dataclass
 class ArrowField:
     """Arrow outcomes for every odd vertex of a window.
@@ -200,11 +210,7 @@ def sample_arrow_field(
         cols = window.columns(t)
         xs = np.arange(cols.start, window.x_max + 1, 2, dtype=np.int64)
         u = vertex_uniform_grid(np.uint64(seed), xs, np.int64(t))
-        out = np.full(xs.shape, int(ArrowOutcome.NONE), dtype=np.uint8)
-        out[u < 1.0 - kappa] = int(ArrowOutcome.BOTH)
-        out[u < w] = int(ArrowOutcome.RIGHT_ONLY)
-        out[u < 0.5 * w] = int(ArrowOutcome.LEFT_ONLY)
-        grid[t - window.t_min, : len(xs)] = out
+        grid[t - window.t_min, : len(xs)] = arrow_outcomes(u, w, kappa)
     return ArrowField(window, b, kappa, seed, direction, grid)
 
 

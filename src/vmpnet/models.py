@@ -7,9 +7,10 @@ its two neighbors' colors (branch), and with probability kappa it resamples
 from the bulk distribution p (kill).  One uniform per space-time vertex
 drives both the move choice and the color choice through a nested inverse
 CDF in move-major order [walk-left | walk-right | branch | kill]; the move
-thresholds coincide with the arrow-outcome thresholds of the percolation
-net, so a forward run and the dual genealogy built from the same seed
-produce identical colors.
+thresholds are the net's arrow outcomes (``lattice_net.arrow_outcomes``),
+and the dual sampler colors its genealogy with the same ``site_colors``,
+so a forward run and the dual genealogy built from the same seed produce
+identical colors.
 
 The module also carries exact algebra for three families: the q-color
 stochastic Potts chain (with detailed-balance verification of its rates),
@@ -32,6 +33,7 @@ from .coloring import (
     uniform_colors,
 )
 from .errors import InvalidParameterError, WindowError
+from .lattice_net import ArrowOutcome, arrow_outcomes
 from .rng import BELOW_ONE, vertex_uniform_grid
 
 _SUM_TOL = 1e-12
@@ -180,29 +182,34 @@ def _forward_rows(params: VmpParams, seeds: np.ndarray, xs: np.ndarray, colors, 
     if colors is None:
         u = vertex_uniform_grid(seeds[:, None], xs[None, :], np.int64(0))
         colors = _invcdf_rows(u, np.asarray(params.lam.cum))
-    p_cum = np.asarray(params.p.cum)
-    g_cum = params.g.cum_array()
-    w, b, kappa = params.w, params.b, params.kappa
     yield 0, xs, colors
     for t in range(1, steps + 1):
-        xs_new = xs[:-1] + 1
-        left = colors[:, :-1]
-        right = colors[:, 1:]
-        u = vertex_uniform_grid(seeds[:, None], xs_new[None, :], np.int64(t))
-        new = np.where(u < 0.5 * w, left, right).astype(np.uint8)
-        if b > 0:
-            mask = (u >= w) & (u < 1.0 - kappa)
-            if mask.any():
-                ub = np.minimum((u - w) / b, BELOW_ONE)
-                cum = g_cum[left.astype(np.intp) - 1, right.astype(np.intp) - 1]
-                new = np.where(mask, _invcdf_rows(ub, cum), new)
-        if kappa > 0:
-            mask = u >= 1.0 - kappa
-            if mask.any():
-                uk = np.minimum((u - (1.0 - kappa)) / kappa, BELOW_ONE)
-                new = np.where(mask, _invcdf_rows(uk, p_cum), new)
-        xs, colors = xs_new, new
+        xs = xs[:-1] + 1
+        u = vertex_uniform_grid(seeds[:, None], xs[None, :], np.int64(t))
+        colors = site_colors(params, u, colors[:, :-1], colors[:, 1:])
         yield t, xs, colors
+
+
+def site_colors(params: VmpParams, u: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """New colors of sites with uniforms u and neighbor colors left, right:
+    copy a neighbor on a walk, draw from g[left, right] on a branch and from
+    p on a kill with the rescaled rest of u.  A neighbor color the site's
+    outcome does not read may be any of 1..q."""
+    w, b, kappa = params.w, params.b, params.kappa
+    outcome = arrow_outcomes(u, w, kappa)
+    new = np.where(outcome == ArrowOutcome.LEFT_ONLY, left, right).astype(np.uint8)
+    if b > 0:
+        mask = outcome == ArrowOutcome.BOTH
+        if mask.any():
+            ub = np.minimum((u - w) / b, BELOW_ONE)
+            cum = params.g.cum_array()[left.astype(np.intp) - 1, right.astype(np.intp) - 1]
+            new = np.where(mask, _invcdf_rows(ub, cum), new)
+    if kappa > 0:
+        mask = outcome == ArrowOutcome.NONE
+        if mask.any():
+            uk = np.minimum((u - (1.0 - kappa)) / kappa, BELOW_ONE)
+            new = np.where(mask, _invcdf_rows(uk, np.asarray(params.p.cum)), new)
+    return new
 
 
 def forward_batch(

@@ -4,9 +4,10 @@ Space contracts by eps and time by eps^2; a level-n model keeps
 b_n / eps_n and kappa_n / eps_n^2 exactly equal to the continuum branching
 and killing parameters.  Continuum color laws have no closed form, so
 convergence is probed as a Cauchy property: consecutive-level estimates
-must stop moving beyond Monte Carlo noise.  Slice colors at scale are
-computed through the dual genealogy (bit-identical to a forward run with
-the same seed, at a fraction of the cost).
+must stop moving beyond Monte Carlo noise.  Colors at scale come from the
+batched dual sampler ``dual_colors_genealogy``, one call per chunk of
+trials: it visits only the genealogy of the query points, level by level,
+and is bit-identical to a forward run with the same seed.
 """
 
 from __future__ import annotations
@@ -144,17 +145,6 @@ def interface_census(
     return boundaries, lengths
 
 
-def genealogy_slice(
-    params: VmpParams, seed: int, xs: list[int], t: int, window: Window
-) -> dict[int, int]:
-    """Colors of the sites {(x, t) : x in xs} computed through the dual
-    genealogy over one shared field; equals the forward slice of the same
-    seed exactly."""
-    pts = [(x, t) for x in xs]
-    colors = dual_colors_genealogy(params, seed, pts, window)
-    return dict(zip(xs, colors))
-
-
 # ---------------------------------------------------------------------------
 # Separation point census
 # ---------------------------------------------------------------------------
@@ -243,10 +233,7 @@ def _marginal_chunk(job, levels, seed, q, k):
     n, c0, c1 = job
     lv = levels[n]
     seeds = derive_seed_array(seed, c0, c1, "marginal", n)
-    colors = np.array(
-        [dual_colors_genealogy(lv["params"], int(s), lv["snapped"], lv["window"]) for s in seeds],
-        dtype=np.uint8,
-    )
+    colors = dual_colors_genealogy(lv["params"], seeds, lv["snapped"], lv["window"])
     return np.bincount(_encode_tuples(colors, q), minlength=q ** k)
 
 
@@ -254,12 +241,9 @@ def _interface_chunk(job, levels, seed):
     n, c0, c1 = job
     lv = levels[n]
     seeds = derive_seed_array(seed, c0, c1, "interface", n)
-    counts = []
-    for s in seeds:
-        row = genealogy_slice(lv["params"], int(s), lv["xs"], lv["t_n"], lv["window"])
-        boundaries, _ = interface_census(row, lv["xs"][0], lv["xs"][-1])
-        counts.append(len(boundaries))
-    return counts
+    xs = lv["xs"]
+    rows = dual_colors_genealogy(lv["params"], seeds, [(x, lv["t_n"]) for x in xs], lv["window"])
+    return [len(interface_census(dict(zip(xs, row.tolist())), xs[0], xs[-1])[0]) for row in rows]
 
 
 def marginal_convergence_experiment(

@@ -222,6 +222,7 @@ def test_bad_potts_flags_are_config_errors(tmp_path, capsys, argv):
 
 
 _POTTS = {"model": "potts", "beta": 1.0, "q": 2, "seed": 1}
+_SCALING = {"schedule": {"q": 2, "eps_levels": [0.5, 0.25], "b": 1.0, "kappa": 2.0}, "trials": 10, "seed": 1}
 
 
 @pytest.mark.parametrize(
@@ -231,8 +232,13 @@ _POTTS = {"model": "potts", "beta": 1.0, "q": 2, "seed": 1}
         (["scaling-experiment", "--preset", "coarsening"], {"trials_interface": "x", "seed": 1}),
         (["dual-sample"], {**_POTTS, "points": [["a", 2]], "trials": 10}),
         (["dual-sample"], {**_POTTS, "points": [[1.7, 2]], "trials": 10}),
+        (["scaling-experiment"], {**_SCALING, "points": [["a", 0.3]]}),
+        (["scaling-experiment"], {**_SCALING, "points": [[None, 0.3]]}),
+        (["scaling-experiment"], {**_SCALING, "points": [[math.nan, 0.3]]}),
+        (["scaling-experiment"], {**_SCALING, "points": [[True, 0.3]]}),
     ],
-    ids=["check-duality-trials", "coarsening-trials-interface", "points-string", "points-float"],
+    ids=["check-duality-trials", "coarsening-trials-interface", "points-string", "points-float",
+         "continuum-point-string", "continuum-point-null", "continuum-point-nan", "continuum-point-bool"],
 )
 def test_bad_integer_config_field_is_config_error(tmp_path, capsys, argv, cfg):
     path = tmp_path / "cfg.json"

@@ -82,6 +82,12 @@ def test_boundary_table_diagonal_enforced():
     assert flipped.dist(1, 2) == tab.dist(2, 1)
 
 
+def test_uniform_boundary_table_equals_explicit_uniform_rows():
+    for q in (2, 3, 7):
+        rows = {(k, l): [1.0 / q] * q for k in range(1, q + 1) for l in range(1, q + 1) if k != l}
+        assert uniform_boundary_table(q) == boundary_table_from(q, rows)
+
+
 # ---------------------------------------------------------------------------
 # Leaf coloring
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vmpnet.coloring import ColorDistribution, uniform_boundary_table, uniform_colors
+from vmpnet.coloring import ColorDistribution, point_mass, uniform_boundary_table, uniform_colors
 from vmpnet.duality import (
     JointColorLaw,
     cone_window,
@@ -20,9 +20,10 @@ from vmpnet.duality import (
     pooled_two_sample_chisquare,
     _q3_asym,
 )
-from vmpnet.errors import InvalidParameterError, ParityError, StateSpaceError
+from vmpnet.errors import InvalidParameterError, ParityError, StateSpaceError, WindowError
+from vmpnet.lattice_net import ArrowOutcome, Window, arrow_outcomes
 from vmpnet.models import VmpParams, forward_batch, potts_params, simple_vmp
-from vmpnet.rng import derive_seed
+from vmpnet.rng import derive_seed, vertex_uniform
 
 LN2 = math.log(2.0)
 
@@ -130,10 +131,13 @@ def test_genealogy_equals_graph_sampler():
     params = _q3_asym(0.3, 0.1, "A")
     pts = [(-1, 2), (1, 2)]
     win = cone_window(pts)
+    seeds = np.arange(300, dtype=np.uint64)
+    batch = dual_colors_genealogy(params, seeds, pts, win)
+    assert batch.shape == (300, 2)
     for seed in range(300):
-        assert dual_colors_genealogy(params, seed, pts, win) == dual_colors_graph(
-            params, seed, pts, win
-        )
+        assert tuple(int(c) for c in batch[seed]) == dual_colors_graph(params, seed, pts, win)
+    row = dual_colors_genealogy(params, 17, pts, win)
+    assert row.shape == (2,) and np.array_equal(row, batch[17])
 
 
 def test_forward_dual_same_seed_coupling():
@@ -143,8 +147,90 @@ def test_forward_dual_same_seed_coupling():
     win = cone_window(pts)
     seeds = np.arange(200, dtype=np.uint64)
     fwd = forward_batch(params, seeds, win.x_min, win.x_max, pts)
-    for s in range(200):
-        assert tuple(int(c) for c in fwd[s]) == dual_colors_genealogy(params, s, pts, win)
+    assert np.array_equal(dual_colors_genealogy(params, seeds, pts, win), fwd)
+    assert np.array_equal(dual_colors_genealogy(params, 123, pts, win), fwd[123])
+
+
+def test_seed_array_shape_is_kept():
+    params = potts_params(1.5, 3)
+    pts = [(-1, 2), (1, 2)]
+    seeds = np.arange(12, dtype=np.uint64).reshape(3, 4)
+    grid = dual_colors_genealogy(params, seeds, pts)
+    assert grid.shape == (3, 4, 2)
+    assert np.array_equal(grid.reshape(12, 2), dual_colors_genealogy(params, seeds.ravel(), pts))
+    assert dual_colors_genealogy(params, seeds[:0, 0], pts).shape == (0, 2)
+
+
+def test_window_error_on_exactly_the_graph_seeds():
+    params = _q3_asym(0.35, 0.05, "A")
+    pts = [(-1, 4), (1, 4)]
+    win = Window(-3, 3, 0, 4)  # narrower than the dependence cone
+    escaped, kept = [], []
+    for seed in range(300):
+        try:
+            dual_colors_graph(params, seed, pts, win)
+        except WindowError:
+            escaped.append(seed)
+            with pytest.raises(WindowError):
+                dual_colors_genealogy(params, seed, pts, win)
+        else:
+            kept.append(seed)
+    assert escaped and kept
+    with pytest.raises(WindowError):
+        dual_colors_genealogy(params, np.arange(300, dtype=np.uint64), pts, win)
+    batch = dual_colors_genealogy(params, np.array(kept, dtype=np.uint64), pts, win)
+    assert [tuple(int(c) for c in r) for r in batch] == [
+        dual_colors_graph(params, s, pts, win) for s in kept
+    ]
+    with pytest.raises(WindowError):
+        dual_colors_genealogy(params, 0, [(5, 0)], win)  # a query point outside
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(1, 2), (1, 2), (-1, 2)],  # duplicate query points
+        [(1, 0), (3, 0)],  # query points at t = 0
+        [(1, 0), (0, 3), (2, 1), (0, 3)],  # mixed query times
+    ],
+    ids=["duplicates", "time-zero", "mixed-times"],
+)
+def test_genealogy_edge_cases_equal_forward(points):
+    params = _q3_asym(0.3, 0.1, "B")
+    win = cone_window(points)
+    seeds = np.arange(400, dtype=np.uint64)
+    fwd = forward_batch(params, seeds, win.x_min, win.x_max, points)
+    dual = dual_colors_genealogy(params, seeds, points, win)
+    assert np.array_equal(dual, fwd)
+    for s in range(0, 400, 40):
+        assert tuple(int(c) for c in dual[s]) == dual_colors_graph(params, s, points, win)
+
+
+def test_kappa_one_kills_every_frontier():
+    p = ColorDistribution(3, (0.1, 0.6, 0.3))
+    params = VmpParams(3, 0.0, 0.0, 1.0, uniform_boundary_table(3), p, uniform_colors(3))
+    pts = [(1, 4), (3, 4), (2, 1)]
+    win = Window(1, 3, 0, 4)  # no genealogy leaves its query point
+    seeds = np.arange(300, dtype=np.uint64)
+    dual = dual_colors_genealogy(params, seeds, pts, win)
+    wide = cone_window(pts)
+    assert np.array_equal(dual, forward_batch(params, seeds, wide.x_min, wide.x_max, pts))
+    for s in range(0, 300, 30):
+        assert tuple(int(c) for c in dual[s]) == dual_colors_graph(params, s, pts, win)
+
+
+def test_kill_precedes_walk_when_w_rounds_up():
+    # VmpParams lets w exceed 1 - b - kappa by up to 1e-12; a uniform in
+    # [1 - kappa, w) is a kill for the forward chain, the net and the dual
+    seed = next(s for s in range(100) if vertex_uniform(s, 0, 1) >= 0.5)
+    u = vertex_uniform(seed, 0, 1)
+    kappa = 1.0 - u  # exact, and 1 - kappa == u
+    params = VmpParams(2, u + 5e-13, 0.0, kappa, uniform_boundary_table(2), point_mass(2, 2), point_mass(2, 1))
+    assert arrow_outcomes(np.array([u]), params.w, kappa)[0] == ArrowOutcome.NONE
+    win = cone_window([(0, 1)])
+    assert forward_batch(params, np.array([seed], dtype=np.uint64), win.x_min, win.x_max, [(0, 1)])[0, 0] == 2
+    assert dual_colors_graph(params, seed, [(0, 1)]) == (2,)
+    assert dual_colors_genealogy(params, seed, [(0, 1)]).tolist() == [2]
 
 
 def test_dual_sampler_law_matches_exact():

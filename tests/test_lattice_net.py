@@ -12,6 +12,7 @@ from vmpnet.lattice_net import (
     ArrowOutcome,
     KeyedNet,
     Window,
+    arrow_outcomes,
     outcome_from_uniform,
     reachable_positions,
     sample_arrow_field,
@@ -93,6 +94,15 @@ def test_threshold_conventions():
     assert outcome_from_uniform(0.25, 0.25, 0.25) is ArrowOutcome.RIGHT_ONLY
     assert outcome_from_uniform(0.5, 0.25, 0.25) is ArrowOutcome.BOTH
     assert outcome_from_uniform(0.75, 0.25, 0.25) is ArrowOutcome.NONE
+
+
+def test_vector_outcomes_equal_scalar_thresholds():
+    rng = np.random.default_rng(5)
+    for b, kappa in ((0.25, 0.25), (0.1, 0.05), (0.0, 0.3), (0.4, 0.0), (0.0, 1.0), (1.0, 0.0)):
+        w = 1.0 - b - kappa
+        u = np.concatenate([rng.random(2000), [0.0, 0.5 * w, w, 1.0 - kappa, math.nextafter(1.0, 0.0)]])
+        u = u[u < 1.0]
+        assert arrow_outcomes(u, w, kappa).tolist() == [int(outcome_from_uniform(v, b, kappa)) for v in u]
 
 
 def test_invalid_probabilities_rejected():

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from vmpnet.coloring import ColorDistribution
-from vmpnet.duality import pooled_two_sample_chisquare
+from vmpnet.duality import dual_colors_genealogy, pooled_two_sample_chisquare
 from vmpnet.errors import BudgetError, InvalidParameterError, WindowError
 from vmpnet.lattice_net import FORWARD, KeyedNet, Vertex, Window
 from vmpnet.models import potts_params, simulate
 from vmpnet.rng import derive_seed
 from vmpnet.scaling import (
     ScalingSchedule,
-    genealogy_slice,
     interface_census,
     interface_experiment,
     marginal_convergence_experiment,
@@ -143,15 +142,16 @@ def test_separation_census_cross_level_stability():
 # Genealogy slices and experiments
 # ---------------------------------------------------------------------------
 
-def test_genealogy_slice_equals_forward_simulate():
+def test_dual_slice_equals_forward_simulate():
     params = potts_params(1.2, 3)
     t = 6
     xs = [x for x in range(-5, 6) if (x + t) % 2 == 1]
     win = Window(-5 - t, 5 + t, 0, t)
-    for seed in (1, 2, 3):
-        via_dual = genealogy_slice(params, seed, xs, t, win)
+    seeds = np.array([1, 2, 3], dtype=np.uint64)
+    via_dual = dual_colors_genealogy(params, seeds, [(x, t) for x in xs], win)
+    for seed, row in zip((1, 2, 3), via_dual):
         via_forward = simulate(params, -5 - t, 5 + t, t, seed).slice_at(t)
-        assert via_dual == {x: via_forward[x] for x in xs}
+        assert dict(zip(xs, row.tolist())) == {x: via_forward[x] for x in xs}
 
 
 def test_marginal_experiment_runs_and_reports():
