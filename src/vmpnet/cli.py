@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 configuration error, 3 guard violation (window,
 parity, state-space, budget), 4 gate failure.  Every artifact-producing
 run writes a manifest referencing each artifact exactly once; the
 manifest's wall_time_s field is the only non-deterministic output.
-Configuration comes from --config JSON files and mirrored flags; the seed
-is always explicit (no wall-clock default) and environment variables are
-never consulted.
+Configuration comes from --config JSON files and mirrored flags, and each
+command takes only the flags it reads; the seed is always explicit (no
+wall-clock default) and environment variables are never consulted.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ def parse_model(cfg: dict) -> VmpParams:
 def _parse_points(cfg: dict, flag_value: str | None):
     if flag_value:
         try:
-            pts = [tuple(int(v) for v in tok.split(",")) for tok in flag_value.split()]
+            # a token that is not exactly "x,t" fails to unpack: ValueError
+            pts = [(int(x), int(t)) for x, t in (tok.split(",") for tok in flag_value.split())]
         except ValueError:
             raise ConfigError(f"--points: expected 'x,t x,t ...', got {flag_value!r}") from None
     else:
@@ -249,7 +250,7 @@ def cmd_reduce_graph(args) -> int:
         except ValueError:
             raise ConfigError(f"--root: expected 'x,t', got {args.root!r}") from None
         field = ArrowField.from_text(_read_utf8(path))
-        dag = build_dag(field, Vertex(rx, rt), 0)
+        dag = build_dag(field, Vertex(rx, rt))
         cfg = {"field_fixture": str(args.field_fixture), "root": [rx, rt]}
     run = RunDir(args.out, "reduce-graph", cfg, args.seed or 0)
     t0 = time.monotonic()
@@ -283,12 +284,8 @@ def cmd_scaling_experiment(args) -> int:
     seed = _require_seed(args, cfg)
     t0 = time.monotonic()
     if args.preset == "coarsening" or cfg.get("preset") == "coarsening":
-        rep = coarsening_gate(
-            trials_interface=expect(cfg, "trials_interface", int, required=False, default=200),
-            trials_marginal=expect(cfg, "trials_marginal", int, required=False, default=3000),
-            seed=seed,
-            workers=args.workers,
-        )
+        sizes = {k: expect(cfg, k, int) for k in ("trials_interface", "trials_marginal") if k in cfg}
+        rep = coarsening_gate(seed=seed, workers=args.workers, **sizes)
         run = RunDir(args.out, "scaling-experiment", cfg, seed)
         run.write_json("coarsening.json", rep)
         iface = rep["interface"]
@@ -352,6 +349,8 @@ def _write_marginal_outputs(run: RunDir, rep: dict) -> None:
 
 def cmd_verify_all(args) -> int:
     seed = _require_seed(args, {})
+    if args.gof_trials < GOF_MIN_TRIALS:
+        raise ConfigError(f"verify-all needs --gof-trials of at least {GOF_MIN_TRIALS}, got {args.gof_trials}")
     run = RunDir(args.out, "verify-all", {"gof_trials": args.gof_trials}, seed)
     t0 = time.monotonic()
     report = run_all(seed, workers=args.workers, gof_trials=args.gof_trials)
@@ -375,12 +374,9 @@ def _require_seed(args, cfg: dict) -> int:
     raise ConfigError("a seed is mandatory: pass --seed or set 'seed' in the config")
 
 
-def _add_common(sp, out_required=True):
-    sp.add_argument("--config", help="JSON config file")
+def _add_common(sp):
     sp.add_argument("--seed", type=int, help="64-bit master seed (mandatory, no clock default)")
-    sp.add_argument("--workers", type=int, default=1, help="parallel workers over trials")
-    if out_required:
-        sp.add_argument("--out", required=True, help="output directory for artifacts + manifest")
+    sp.add_argument("--out", required=True, help="output directory for artifacts + manifest")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="forward chain on a finite base")
     _add_common(sp)
+    sp.add_argument("--config", help="JSON config file")
     sp.add_argument("--beta", type=float)
     sp.add_argument("--q", type=int)
     sp.add_argument("--x-lo", type=int, dest="x_lo")
@@ -399,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dual-sample", help="joint dual draws at query points")
     _add_common(sp)
+    sp.add_argument("--config", help="JSON config file")
     sp.add_argument("--beta", type=float)
     sp.add_argument("--q", type=int)
     sp.add_argument("--points", help="space-separated x,t pairs, e.g. '-1,2 1,2'")
@@ -407,6 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-duality", help="exact oracles + statistical gate")
     _add_common(sp)
+    sp.add_argument("--config", help="JSON config file")
+    sp.add_argument("--workers", type=int, default=1, help="parallel workers over trials")
     sp.add_argument("--trials", type=int, help="samples per side (default 100000)")
     sp.add_argument("--corrupt", action="store_true", help="run the power check (transposed dual)")
     sp.set_defaults(fn=cmd_check_duality)
@@ -427,11 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scaling-experiment", help="cross-level convergence experiments")
     _add_common(sp)
+    sp.add_argument("--config", help="JSON config file")
+    sp.add_argument("--workers", type=int, default=1, help="parallel workers over trials")
     sp.add_argument("--preset", choices=["coarsening"], help="built-in experiment preset")
     sp.set_defaults(fn=cmd_scaling_experiment)
 
     sp = sub.add_parser("verify-all", help="run every invariant/oracle gate")
     _add_common(sp)
+    sp.add_argument("--workers", type=int, default=1, help="parallel workers over trials")
     sp.add_argument("--gof-trials", type=int, default=100_000, dest="gof_trials")
     sp.set_defaults(fn=cmd_verify_all)
     return ap

@@ -1,6 +1,6 @@
 """Rooted genealogy DAGs of the backward net, relevance, and reduction.
 
-The component of the backward net grown from a root down to a horizon is a
+The component of the backward net grown from a root down to t = 0 is a
 finite acyclic digraph whose vertices have out-degree at most two.  An
 intermediate vertex is *relevant* when two directed paths leave it and
 reach the leaves without sharing any other vertex; by Menger's theorem,
@@ -77,14 +77,14 @@ class ReducedDag(RootedDag):
     """
 
 
-def build_dag(net, root: Vertex, horizon: int = 0) -> RootedDag:
-    """Grow the backward component of ``net`` from ``root`` down to ``horizon``.
+def build_dag(net, root: Vertex) -> RootedDag:
+    """Grow the backward component of ``net`` from ``root`` down to t = 0.
 
-    ``net`` must be backward-oriented (arrows to time t-1).  Vertices at the
-    horizon become horizon leaves regardless of their outcome; arrowless
+    ``net`` must be backward-oriented (arrows to time t-1).  Vertices at
+    t = 0 become horizon leaves regardless of their outcome; arrowless
     vertices above it become killing leaves; vertices with both arrows
     branch.  Raises WindowError if the component would leave the window
-    sideways or the horizon/root lie outside it.
+    sideways, the root is outside it or below t = 0, or it starts above t = 0.
     """
     if net.direction != BACKWARD:
         raise InvalidParameterError("build_dag requires a backward-oriented net")
@@ -93,8 +93,8 @@ def build_dag(net, root: Vertex, horizon: int = 0) -> RootedDag:
         raise InvalidParameterError(f"root {root} is not on the odd sublattice")
     if not w.contains(root.x, root.t):
         raise WindowError(f"root {root} outside window {w}")
-    if horizon < w.t_min or horizon > root.t:
-        raise WindowError(f"horizon {horizon} outside [{w.t_min}, {root.t}]")
+    if w.t_min > 0 or root.t < 0:
+        raise WindowError(f"t = 0 outside [{w.t_min}, {root.t}]")
 
     b, kappa = net.b, net.kappa
     walk = 1.0 - b - kappa
@@ -103,14 +103,14 @@ def build_dag(net, root: Vertex, horizon: int = 0) -> RootedDag:
     uniforms: dict[Vertex, float] = {}
 
     frontier = {root}
-    for t in range(root.t, horizon - 1, -1):
+    for t in range(root.t, -1, -1):
         if not frontier:
             break
         next_frontier: set[Vertex] = set()
         for v in sorted(frontier):
             u = net.uniform_at(v.x, v.t)
             out = net.outcome_at(v.x, v.t)
-            if v.t == horizon:
+            if v.t == 0:
                 kinds[v] = DagKind.TIME_ZERO_LEAF
                 children[v] = ()
                 uniforms[v] = u
@@ -183,8 +183,9 @@ def relevant_points(dag: RootedDag) -> set[Vertex]:
     return out
 
 
-def relevant_points_bruteforce(dag: RootedDag, max_paths: int = 20000) -> set[Vertex]:
-    """Relevance by enumerating all path pairs; oracle for small graphs."""
+def relevant_points_bruteforce(dag: RootedDag) -> set[Vertex]:
+    """Relevance by enumerating all path pairs; oracle for small graphs
+    (StateSpaceError past 20000 paths from one vertex)."""
     out: set[Vertex] = set()
     for z in dag.kinds:
         if z == dag.root or dag.out_degree(z) != 2:
@@ -196,7 +197,7 @@ def relevant_points_bruteforce(dag: RootedDag, max_paths: int = 20000) -> set[Ve
             kids = dag.children.get(v, ())
             if not kids:
                 paths.append(frozenset(trail + [v]) - {z})
-                if len(paths) > max_paths:
+                if len(paths) > 20000:
                     raise StateSpaceError("too many paths for brute-force relevance")
                 continue
             for c in kids:

@@ -12,9 +12,11 @@ Two independent exact oracles verify this at desk scale:
   vertex).  The frontier law is joint, never a product of marginals,
   because coalescence correlates the query genealogies.
 
-The two computations share no code path beyond the parameter container, so
-their agreement to 1e-10 is a genuine check of the duality, not of a
-single implementation.  The one Monte-Carlo dual sampler,
+Beyond the parameter container, the two computations share only the
+einsum axis alphabet and ``_queries_law``, the last step that reads the
+query tuple's law off the final joint law.  Their dynamic programs are
+separate, so their agreement to 1e-10 is a genuine check of the duality,
+not of a single implementation.  The one Monte-Carlo dual sampler,
 ``dual_colors_genealogy``, runs a batch of trials level by level with the
 forward chain's site rule; ``dual_colors_graph`` builds each DAG and is its
 reference.  ``duality_gof_test`` adds a two-sample chi-square gate between
@@ -53,12 +55,12 @@ def as_query_points(points) -> list[Vertex]:
     return out
 
 
-def cone_window(points, horizon: int = 0, margin: int = 0) -> Window:
-    """Smallest window containing the dependence cones of all points."""
+def cone_window(points) -> Window:
+    """Smallest window containing the dependence cones of all points down to t = 0."""
     pts = as_query_points(points)
-    x_lo = min(v.x - (v.t - horizon) for v in pts) - margin
-    x_hi = max(v.x + (v.t - horizon) for v in pts) + margin
-    return Window(x_lo, x_hi, horizon, max(v.t for v in pts))
+    x_lo = min(v.x - v.t for v in pts)
+    x_hi = max(v.x + v.t for v in pts)
+    return Window(x_lo, x_hi, 0, max(v.t for v in pts))
 
 
 @dataclass
@@ -98,13 +100,14 @@ def dual_colors_genealogy(params: VmpParams, seeds, points, window: Window | Non
     adds the children its arrow outcome names; only these keys are kept.
     Up from t = 0, each level is colored from the one below by
     ``models.site_colors``, the forward chain's rule, so a draw equals the
-    forward run of its seed.  Raises WindowError when a genealogy leaves
-    the window's x range.
+    forward run of its seed.  Raises WindowError exactly where
+    ``dual_colors_graph`` does: when the window does not reach t = 0, holds
+    not every query point, or a genealogy leaves its x range.
     """
     pts = as_query_points(points)
     win = window if window is not None else cone_window(pts)
-    if any(not win.x_min <= v.x <= win.x_max for v in pts):
-        raise WindowError(f"query points {pts} reach outside window {win}")
+    if win.t_min > 0 or any(not win.contains(v.x, v.t) for v in pts):
+        raise WindowError(f"window {win} does not hold the query points {pts} down to t = 0")
     flat = np.asarray(seeds).reshape(-1)
     # a child of a vertex in the window has x - x_min + 1 in [0, span - 1],
     # so x +- 1 never reaches into the next trial's keys
@@ -155,7 +158,7 @@ def dual_colors_graph(params: VmpParams, seed: int, points, window: Window | Non
     pts = as_query_points(points)
     win = window if window is not None else cone_window(pts)
     net = KeyedNet(params.b, params.kappa, seed, win, direction=BACKWARD)
-    return tuple(color_dag(build_dag(net, v, horizon=0), params.g, params.lam, params.p)[v] for v in pts)
+    return tuple(color_dag(build_dag(net, v), params.g, params.lam, params.p)[v] for v in pts)
 
 
 #: Trials per batch of the two samplers below: bounds memory, moves no output.
@@ -191,6 +194,10 @@ def forward_sample_many(params: VmpParams, points, master_seed: int, trials: int
 # ---------------------------------------------------------------------------
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+#: Caps of the two exact oracles: joint forward states (q^width) and
+#: enumerated dual arrow configurations.
+_MAX_STATES = 250_000
+_MAX_CONFIGS = 300_000
 
 
 def _queries_law(law: np.ndarray, dims: list[Vertex], pts: list[Vertex], q: int) -> JointColorLaw:
@@ -203,7 +210,7 @@ def _queries_law(law: np.ndarray, dims: list[Vertex], pts: list[Vertex], q: int)
     return JointColorLaw(q, out)
 
 
-def exact_forward_law(params: VmpParams, points, max_states: int = 250_000) -> JointColorLaw:
+def exact_forward_law(params: VmpParams, points) -> JointColorLaw:
     """Exact k-point law of the forward chain by joint-configuration DP.
 
     Starts from the product(lam) law on the union of dependence-cone bases
@@ -230,9 +237,9 @@ def exact_forward_law(params: VmpParams, points, max_states: int = 250_000) -> J
             kernel[left - 1, right - 1] = transition_distribution(params, left, right).as_array()
 
     base = sites_at(0)
-    if q ** len(base) > max_states:
+    if q ** len(base) > _MAX_STATES:
         raise StateSpaceError(
-            f"base width {len(base)} gives {q ** len(base)} states (cap {max_states})"
+            f"base width {len(base)} gives {q ** len(base)} states (cap {_MAX_STATES})"
         )
     law = np.ones(())
     lam = params.lam.as_array()
@@ -262,8 +269,8 @@ def exact_forward_law(params: VmpParams, points, max_states: int = 250_000) -> J
             subs.append(letter[lv] + letter[rv] + nl)
             new_dims.append((Vertex(x, s), nl))
         out_dims = [v for v in dims if v in recorded] + [vd[0] for vd in new_dims]
-        if q ** len(out_dims) > max_states:
-            raise StateSpaceError(f"state space {q ** len(out_dims)} exceeds cap {max_states}")
+        if q ** len(out_dims) > _MAX_STATES:
+            raise StateSpaceError(f"state space {q ** len(out_dims)} exceeds cap {_MAX_STATES}")
         out_sub = "".join(letter[v] for v in dims if v in recorded) + "".join(
             nl for _, nl in new_dims
         )
@@ -278,7 +285,7 @@ def exact_forward_law(params: VmpParams, points, max_states: int = 250_000) -> J
 # Exact dual oracle
 # ---------------------------------------------------------------------------
 
-def exact_dual_law(params: VmpParams, points, max_configs: int = 300_000) -> JointColorLaw:
+def exact_dual_law(params: VmpParams, points) -> JointColorLaw:
     """Exact joint law of the dual root colors.
 
     Sums over every arrow configuration of the decision cone (vertices
@@ -304,9 +311,9 @@ def exact_dual_law(params: VmpParams, points, max_configs: int = 300_000) -> Joi
     support = [(o, pr) for o, pr in outcome_probs if pr > 0.0]
 
     n_configs = len(support) ** len(decision)
-    if n_configs > max_configs:
+    if n_configs > _MAX_CONFIGS:
         raise StateSpaceError(
-            f"{n_configs} arrow configurations exceed cap {max_configs}; shrink the instance"
+            f"{n_configs} arrow configurations exceed cap {_MAX_CONFIGS}; shrink the instance"
         )
     total = np.zeros((q,) * len(pts))
     for assignment in itertools.product(support, repeat=len(decision)):
@@ -420,24 +427,22 @@ def _dag_union_law(params: VmpParams, pts: list[Vertex], outcomes: dict[Vertex, 
 # Two-sample chi-square gate
 # ---------------------------------------------------------------------------
 
-def pooled_two_sample_chisquare(
-    counts1: np.ndarray, counts2: np.ndarray, min_combined: int = 10
-) -> tuple[float, int, float, int]:
+def pooled_two_sample_chisquare(counts1: np.ndarray, counts2: np.ndarray) -> tuple[float, int, float, int]:
     """Contingency chi-square between two count vectors over the same cells.
 
-    Cells whose combined count is below ``min_combined`` (expected < 5 per
-    sample at equal sizes) are pooled into one bucket; an undersized bucket
-    is merged into the smallest kept cell.  Returns (statistic, dof,
-    p_value, n_cells_after_pooling).
+    Cells whose combined count is below 10 (expected < 5 per sample at
+    equal sizes) are pooled into one bucket; an undersized bucket is merged
+    into the smallest kept cell.  Returns (statistic, dof, p_value,
+    n_cells_after_pooling).
     """
     c1 = np.asarray(counts1, dtype=np.float64)
     c2 = np.asarray(counts2, dtype=np.float64)
     combined = c1 + c2
-    keep = combined >= min_combined
+    keep = combined >= 10
     cells = [(float(c1[i]), float(c2[i])) for i in np.flatnonzero(keep)]
     rest = (float(c1[~keep].sum()), float(c2[~keep].sum()))
     if rest[0] + rest[1] > 0:
-        if rest[0] + rest[1] >= min_combined or not cells:
+        if rest[0] + rest[1] >= 10 or not cells:
             cells.append(rest)
         else:
             j = min(range(len(cells)), key=lambda i: cells[i][0] + cells[i][1])
@@ -472,6 +477,8 @@ def corrupted(params: VmpParams) -> VmpParams:
 
 #: Fewest draws per side the statistical gate accepts.
 GOF_MIN_TRIALS = 10_000
+#: Significance level of each setting's chi-square in the statistical gate.
+GOF_ALPHA = 0.01
 
 
 def duality_gof_test(
@@ -480,7 +487,6 @@ def duality_gof_test(
     trials: int,
     seed: int,
     corrupt_dual: bool = False,
-    alpha: float = 0.01,
 ) -> dict:
     """Two-sample chi-square between forward and dual samples.
 
@@ -509,8 +515,8 @@ def duality_gof_test(
         "n": trials,
         "cells": cells,
         "corrupt_dual": corrupt_dual,
-        "alpha": alpha,
-        "pass": bool(p_value >= alpha),
+        "alpha": GOF_ALPHA,
+        "pass": bool(p_value >= GOF_ALPHA),
     }
 
 
@@ -518,9 +524,9 @@ def duality_gof_test(
 # Frozen parameter suites
 # ---------------------------------------------------------------------------
 
-def _q2_asym(b: float, kappa: float, lam=(0.6, 0.4), p=(0.3, 0.7)) -> VmpParams:
+def _q2_asym(b: float, kappa: float) -> VmpParams:
     g = boundary_table_from(2, {(1, 2): (0.85, 0.15), (2, 1): (0.25, 0.75)})
-    return simple_vmp(2, b, kappa, g, ColorDistribution(2, p), ColorDistribution(2, lam))
+    return simple_vmp(2, b, kappa, g, ColorDistribution(2, (0.3, 0.7)), ColorDistribution(2, (0.6, 0.4)))
 
 
 _Q3_TABLES = {
@@ -551,11 +557,9 @@ _Q3_TABLES = {
 }
 
 
-def _q3_asym(
-    b: float, kappa: float, style: str = "A", lam=(0.5, 0.3, 0.2), p=(0.25, 0.35, 0.4)
-) -> VmpParams:
+def _q3_asym(b: float, kappa: float, style: str = "A") -> VmpParams:
     g = boundary_table_from(3, _Q3_TABLES[style])
-    return simple_vmp(3, b, kappa, g, ColorDistribution(3, p), ColorDistribution(3, lam))
+    return simple_vmp(3, b, kappa, g, ColorDistribution(3, (0.25, 0.35, 0.4)), ColorDistribution(3, (0.5, 0.3, 0.2)))
 
 
 def oracle_settings() -> list[dict]:
@@ -629,15 +633,10 @@ def gate_settings() -> list[dict]:
     ]
 
 
-def _gate_one(item, trials, seed, corrupt_dual, alpha):
+def _gate_one(item, trials, seed, corrupt_dual):
     i, st = item
     rep = duality_gof_test(
-        st["params"],
-        st["points"],
-        trials,
-        derive_seed(seed, "gate-setting", i),
-        corrupt_dual=corrupt_dual,
-        alpha=alpha,
+        st["params"], st["points"], trials, derive_seed(seed, "gate-setting", i), corrupt_dual=corrupt_dual
     )
     rep["setting"] = st["name"]
     return rep
@@ -647,7 +646,6 @@ def run_duality_gate(
     trials: int,
     seed: int,
     corrupt_dual: bool = False,
-    alpha: float = 0.01,
     settings: list[dict] | None = None,
     workers: int = 1,
 ) -> list[dict]:
@@ -656,7 +654,5 @@ def run_duality_gate(
 
     if settings is None:
         settings = gate_settings()
-    worker = functools.partial(
-        _gate_one, trials=trials, seed=seed, corrupt_dual=corrupt_dual, alpha=alpha
-    )
+    worker = functools.partial(_gate_one, trials=trials, seed=seed, corrupt_dual=corrupt_dual)
     return parallel_map(worker, list(enumerate(settings)), workers)

@@ -575,12 +575,10 @@ def noisy_biased_voter_decomposition(
     return d
 
 
-def nbv_remainder_order_fit(
-    alpha: float, b: float, kappa: float, eps_grid: np.ndarray | None = None
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log-log slope of max_f1 |r_eps| against eps (expected close to 3)."""
-    if eps_grid is None:
-        eps_grid = 2.0 ** np.arange(-8.0, -3.5, 0.5)
+def nbv_remainder_order_fit(alpha: float, b: float, kappa: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log-log slope of max_f1 |r_eps| against eps = 2^-8 .. 2^-4 in half
+    octaves (expected close to 3)."""
+    eps_grid = 2.0 ** np.arange(-8.0, -3.5, 0.5)
     f1_grid = np.linspace(0.0, 1.0, 65)
     max_r = np.array(
         [
@@ -589,4 +587,4 @@ def nbv_remainder_order_fit(
         ]
     )
     slope = float(np.polyfit(np.log(eps_grid), np.log(max_r), 1)[0])
-    return slope, np.asarray(eps_grid), max_r
+    return slope, eps_grid, max_r

@@ -51,10 +51,10 @@ class ScalingSchedule:
 
     def __post_init__(self):
         eps = self.eps_levels
-        if not eps or any(e <= 0 for e in eps) or any(
+        if not eps or not all(math.isfinite(e) and e > 0 for e in eps) or any(
             eps[i + 1] >= eps[i] for i in range(len(eps) - 1)
         ):
-            raise InvalidParameterError("eps_levels must be positive and strictly decreasing")
+            raise InvalidParameterError("eps_levels must be finite, positive and strictly decreasing")
         for e in eps:
             if self.b * e + self.kappa * e * e > 1:
                 raise InvalidParameterError(f"b_n + kappa_n > 1 at eps={e}")
@@ -210,22 +210,22 @@ def _families_separate(net, z: Vertex, horizon: int) -> bool:
 # Cross-level experiments
 # ---------------------------------------------------------------------------
 
-def _bootstrap_tvd_ci(
-    counts_a: np.ndarray,
-    counts_b: np.ndarray,
-    seed: int,
-    n_boot: int = 500,
-    level: float = 0.95,
-) -> tuple[float, float]:
+#: Cap on each level's lattice budget in the experiments below:
+#: x-extent/eps columns times t-extent/eps^2 rows.
+_BUDGET_CAP = 600_000
+
+
+def _bootstrap_tvd_ci(counts_a: np.ndarray, counts_b: np.ndarray, seed: int) -> tuple[float, float]:
+    """95% bootstrap interval of the TVD between two count vectors, 500 resamples."""
     rng = np.random.default_rng(seed)
     na, nb = counts_a.sum(), counts_b.sum()
     pa, pb = counts_a / na, counts_b / nb
-    tvds = np.empty(n_boot)
-    for i in range(n_boot):
+    tvds = np.empty(500)
+    for i in range(500):
         ra = rng.multinomial(na, pa) / na
         rb = rng.multinomial(nb, pb) / nb
         tvds[i] = 0.5 * np.abs(ra - rb).sum()
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - 0.95) / 2.0  # 0.025000000000000022, not 0.025: it sets the quantiles
     return float(np.quantile(tvds, alpha)), float(np.quantile(tvds, 1.0 - alpha))
 
 
@@ -252,8 +252,6 @@ def marginal_convergence_experiment(
     trials: int,
     seed: int,
     workers: int = 1,
-    budget_cap: int = 600_000,
-    chunk: int = 500,
 ) -> dict:
     """Color-law estimates at snapped points per level, with consecutive-
     level total variation distances and bootstrap confidence intervals.
@@ -274,14 +272,14 @@ def marginal_convergence_experiment(
         x_extent = max(p[0] for p in points) - min(p[0] for p in points) + 1.0
         t_extent = max(p[1] for p in points)
         budget = (x_extent / eps) * max(t_extent / (eps * eps), 1.0)
-        if budget > budget_cap:
-            raise BudgetError(f"level {n}: budget {budget:.3g} exceeds cap {budget_cap}")
+        if budget > _BUDGET_CAP:
+            raise BudgetError(f"level {n}: budget {budget:.3g} exceeds cap {_BUDGET_CAP}")
         levels.append({"eps": eps, "params": params, "snapped": snapped, "window": window})
 
-    jobs = [
-        (n, c0, min(c0 + chunk, trials))
+    jobs = [  # 500 trials per job
+        (n, c0, min(c0 + 500, trials))
         for n in range(schedule.n_levels)
-        for c0 in range(0, trials, chunk)
+        for c0 in range(0, trials, 500)
     ]
     results = parallel_map(
         functools.partial(_marginal_chunk, levels=levels, seed=seed, q=q, k=k), jobs, workers
@@ -318,9 +316,6 @@ def interface_experiment(
     trials: int,
     seed: int,
     workers: int = 1,
-    budget_cap: int = 600_000,
-    chunk: int = 50,
-    alpha: float = 0.01,
 ) -> dict:
     """Rescaled interface counts per level; chi-square compares the two
     finest levels' count distributions.
@@ -341,8 +336,8 @@ def interface_experiment(
         if len(xs) < 2:
             raise InvalidParameterError(f"level {n}: box holds {len(xs)} sites, need >= 2")
         budget = ((box[1] - box[0]) / eps) * (t_rescaled / (eps * eps))
-        if budget > budget_cap:
-            raise BudgetError(f"level {n}: budget {budget:.3g} exceeds cap {budget_cap}")
+        if budget > _BUDGET_CAP:
+            raise BudgetError(f"level {n}: budget {budget:.3g} exceeds cap {_BUDGET_CAP}")
         measured = len(xs) * t_n
         if not (0.5 * budget <= measured <= 2.0 * budget):
             raise BudgetError(
@@ -351,10 +346,10 @@ def interface_experiment(
         window = Window(x_lo - t_n, x_hi + t_n, 0, t_n)
         levels.append({"eps": eps, "params": params, "t_n": t_n, "xs": xs, "window": window})
 
-    jobs = [
-        (n, c0, min(c0 + chunk, trials))
+    jobs = [  # 50 trials per job
+        (n, c0, min(c0 + 50, trials))
         for n in range(schedule.n_levels)
-        for c0 in range(0, trials, chunk)
+        for c0 in range(0, trials, 50)
     ]
     results = parallel_map(
         functools.partial(_interface_chunk, levels=levels, seed=seed), jobs, workers
@@ -380,8 +375,8 @@ def interface_experiment(
             "dof": dof,
             "p_value": p_value,
             "cells": cells,
-            "alpha": alpha,
-            "pass": bool(p_value >= alpha),
+            "alpha": 0.01,
+            "pass": bool(p_value >= 0.01),
         },
     }
 
@@ -391,7 +386,6 @@ def coarsening_gate(
     trials_marginal: int = 3000,
     seed: int = 0,
     workers: int = 1,
-    levels: tuple[int, ...] = (3, 4, 5, 6),
 ) -> dict:
     """The desk-scale coarsening gate: three-color dyadic schedule, unit
     box at rescaled time 0.5; interface chi-square between the two finest
@@ -401,7 +395,7 @@ def coarsening_gate(
     diagnostic only.
     """
     lam = ColorDistribution(3, (0.5, 0.3, 0.2))
-    schedule = potts_style_schedule(3, levels, lam=lam)
+    schedule = potts_style_schedule(3, (3, 4, 5, 6), lam=lam)
     interface = interface_experiment(
         schedule, (0.0, 1.0), 0.5, trials_interface, derive_seed(seed, "iface"), workers
     )

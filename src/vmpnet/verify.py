@@ -8,6 +8,7 @@ so reports are byte-identical across runs and worker counts.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -23,7 +24,7 @@ from .dualgraph import (
 )
 from .duality import (
     GATE_NEED,
-    _q2_asym,
+    GOF_ALPHA,
     _q3_asym,
     exact_dual_law,
     exact_forward_law,
@@ -130,18 +131,16 @@ def gate_oracle_equality() -> dict:
     }
 
 
-def gate_duality_statistics(trials: int, seed: int, workers: int = 1, alpha: float = 0.01) -> dict:
-    honest = run_duality_gate(trials, derive_seed(seed, "gate-honest"), workers=workers, alpha=alpha)
-    corrupt = run_duality_gate(
-        trials, derive_seed(seed, "gate-corrupt"), corrupt_dual=True, workers=workers, alpha=alpha
-    )
+def gate_duality_statistics(trials: int, seed: int, workers: int = 1) -> dict:
+    honest = run_duality_gate(trials, derive_seed(seed, "gate-honest"), workers=workers)
+    corrupt = run_duality_gate(trials, derive_seed(seed, "gate-corrupt"), corrupt_dual=True, workers=workers)
     n_pass = sum(1 for r in honest if r["pass"])
     n_fail_corrupt = sum(1 for r in corrupt if not r["pass"])
     ok = n_pass >= GATE_NEED and n_fail_corrupt >= GATE_NEED
     return {
         "name": "duality-statistical-gate",
         "trials": trials,
-        "alpha": alpha,
+        "alpha": GOF_ALPHA,
         "honest_pass": n_pass,
         "corrupt_fail": n_fail_corrupt,
         "need": GATE_NEED,
@@ -158,22 +157,25 @@ def gate_duality_statistics(trials: int, seed: int, workers: int = 1, alpha: flo
 _BK_GRID = [(0.1, 0.0), (0.1, 0.1), (0.25, 0.05), (0.25, 0.15), (0.4, 0.0), (0.4, 0.2), (0.55, 0.1)]
 
 
-def _fuzz_coloring_inputs(q: int, style: int):
-    if style == 0:
+@functools.cache
+def _fuzz_coloring_inputs(q: int):
+    """(g, lam, p) for a fuzzed dag: uniform noises at q = 2, the
+    asymmetric q = 3 table and noises at q = 3."""
+    if q == 2:
         return uniform_boundary_table(q), uniform_colors(q), uniform_colors(q)
-    params = _q2_asym(0.3, 0.1) if q == 2 else _q3_asym(0.3, 0.1)
+    params = _q3_asym(0.3, 0.1)
     return params.g, params.lam, params.p
 
 
-def fuzz_dag(index: int, seed: int, t_lo: int = 2, t_hi: int = 8) -> tuple[RootedDag, int]:
-    """Deterministic fuzzed genealogy: dag index -> (dag, q)."""
+def fuzz_dag(index: int, seed: int) -> tuple[RootedDag, int]:
+    """Deterministic fuzzed genealogy of depth 2..8: dag index -> (dag, q)."""
     rng = random.Random(derive_seed(seed, "fuzz-dag", index))
     b, kappa = _BK_GRID[index % len(_BK_GRID)]
-    t = rng.randint(t_lo, t_hi)
+    t = rng.randint(2, 8)
     w = Window(-t - 1, t + 1, 0, t)
     net = KeyedNet(b, kappa, derive_seed(seed, "fuzz-net", index), w, direction=BACKWARD)
     rx = 0 if t % 2 == 1 else 1
-    dag = build_dag(net, Vertex(rx, t), 0)
+    dag = build_dag(net, Vertex(rx, t))
     return dag, (2 if index % 2 == 0 else 3)
 
 
@@ -184,7 +186,7 @@ def _reduction_chunk(bounds, seed):
     oracle_mismatches = 0
     for i in range(lo, hi):
         dag, q = fuzz_dag(i, seed)
-        g, lam, p = _fuzz_coloring_inputs(q, i % 2)
+        g, lam, p = _fuzz_coloring_inputs(q)
         red = reduce_dag(dag)
         full_colors = color_dag(dag, g, lam, p)
         red_colors = color_dag(red, g, lam, p)
@@ -198,13 +200,11 @@ def _reduction_chunk(bounds, seed):
     return mismatches, small_checked, oracle_mismatches
 
 
-def gate_reduction(n_dags: int, seed: int, workers: int = 1, chunk: int = 500) -> dict:
+def gate_reduction(n_dags: int, seed: int, workers: int = 1) -> dict:
     """Full-graph vs reduced-graph root colors on fuzzed dags, plus
     post-dominator relevance vs the brute-force path-pair oracle on every
-    small (<= 12 vertex) dag and its reduced version."""
-    import functools
-
-    jobs = [(lo, min(lo + chunk, n_dags)) for lo in range(0, n_dags, chunk)]
+    small (<= 12 vertex) dag and its reduced version; 500 dags per job."""
+    jobs = [(lo, min(lo + 500, n_dags)) for lo in range(0, n_dags, 500)]
     results = parallel_map(functools.partial(_reduction_chunk, seed=seed), jobs, workers)
     mism = sum(r[0] for r in results)
     small = sum(r[1] for r in results)
@@ -244,7 +244,7 @@ def gate_order_independence(n_dags: int, n_pairs: int, seed: int) -> dict:
     order_mismatches = 0
     for i in range(n_dags):
         dag, q = fuzz_dag(i, derive_seed(seed, "order"))
-        g, lam, p = _fuzz_coloring_inputs(q, i % 2)
+        g, lam, p = _fuzz_coloring_inputs(q)
         ref = color_dag(dag, g, lam, p)
         rng = random.Random(derive_seed(seed, "order-shuffle", i))
         for _ in range(10):
@@ -262,15 +262,14 @@ def gate_order_independence(n_dags: int, n_pairs: int, seed: int) -> dict:
         w = Window(-t - 1, t + 1, 0, t)
         net = KeyedNet(b, kappa, derive_seed(seed, "consistency-net", i), w, direction=BACKWARD)
         rx = 0 if t % 2 == 1 else 1
-        outer = build_dag(net, Vertex(rx, t), 0)
+        outer = build_dag(net, Vertex(rx, t))
         i += 1
         inner_candidates = sorted(v for v in outer.kinds if v != outer.root and v.t >= 1)
         if not inner_candidates:
             continue
         z_inner = inner_candidates[rng.randrange(len(inner_candidates))]
-        inner = build_dag(net, z_inner, 0)
-        q = 2 if i % 2 == 0 else 3
-        g, lam, p = _fuzz_coloring_inputs(q, i % 2)
+        inner = build_dag(net, z_inner)
+        g, lam, p = _fuzz_coloring_inputs(2 if i % 2 == 0 else 3)
         if color_dag(outer, g, lam, p)[z_inner] != color_dag(inner, g, lam, p)[z_inner]:
             consistency_mismatches += 1
         checked += 1
@@ -287,8 +286,8 @@ def gate_order_independence(n_dags: int, n_pairs: int, seed: int) -> dict:
     }
 
 
-def gate_coarsening(seed: int, workers: int = 1, trials_interface: int = 200, trials_marginal: int = 3000) -> dict:
-    rep = coarsening_gate(trials_interface, trials_marginal, seed, workers)
+def gate_coarsening(seed: int, workers: int = 1) -> dict:
+    rep = coarsening_gate(seed=seed, workers=workers)
     rep["name"] = "coarsening-diagnostics"
     return rep
 

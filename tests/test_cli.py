@@ -236,9 +236,12 @@ _SCALING = {"schedule": {"q": 2, "eps_levels": [0.5, 0.25], "b": 1.0, "kappa": 2
         (["scaling-experiment"], {**_SCALING, "points": [[None, 0.3]]}),
         (["scaling-experiment"], {**_SCALING, "points": [[math.nan, 0.3]]}),
         (["scaling-experiment"], {**_SCALING, "points": [[True, 0.3]]}),
+        (["scaling-experiment"],
+         {**_SCALING, "schedule": {**_SCALING["schedule"], "eps_levels": [math.nan]}, "points": [[0.5, 0.3]]}),
     ],
     ids=["check-duality-trials", "coarsening-trials-interface", "points-string", "points-float",
-         "continuum-point-string", "continuum-point-null", "continuum-point-nan", "continuum-point-bool"],
+         "continuum-point-string", "continuum-point-null", "continuum-point-nan", "continuum-point-bool",
+         "eps-level-nan"],
 )
 def test_bad_integer_config_field_is_config_error(tmp_path, capsys, argv, cfg):
     path = tmp_path / "cfg.json"
@@ -252,6 +255,40 @@ def test_check_duality_too_few_trials_is_config_error(tmp_path, capsys):
     out = tmp_path / "cd"
     assert run_cli("check-duality", "--trials", "0", "--seed", "2", "--out", out) == 2
     assert_one_line_error(capsys, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-all", "--gof-trials", "5"],
+        ["dual-sample", "--beta", "1.0", "--q", "2", "--trials", "10", "--points", "1"],
+        ["dual-sample", "--beta", "1.0", "--q", "2", "--trials", "10", "--points", "1,2,3"],
+        ["dual-sample", "--beta", "1.0", "--q", "2", "--trials", "10", "--points", "1,2 3"],
+    ],
+    ids=["verify-all-gof-trials-5", "points-one-number", "points-three-numbers", "points-short-second"],
+)
+def test_bad_flag_value_is_config_error_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--seed", "2", "--out", out) == 2
+    assert_one_line_error(capsys, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--beta", "1.5", "--q", "3", "--x-lo", "-4", "--x-hi", "4", "--steps", "2", "--workers", "7"],
+        ["dual-sample", "--beta", "1.0", "--q", "2", "--points", "1,2", "--trials", "10", "--workers", "7"],
+        ["reduce-graph", "--fixture", FIXTURES / "branching_demo_dag.json", "--workers", "7"],
+        ["reduce-graph", "--fixture", FIXTURES / "branching_demo_dag.json", "--config", "/nonexistent.json"],
+        ["verify-all", "--config", "/nonexistent.json"],
+    ],
+    ids=["simulate-workers", "dual-sample-workers", "reduce-graph-workers", "reduce-graph-config",
+         "verify-all-config"],
+)
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--seed", "1", "--out", out) == 2
+    assert not out.exists()
 
 
 def _dag_with_root_edge(child: int) -> str:

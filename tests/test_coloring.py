@@ -134,7 +134,7 @@ def test_fixture_hand_coloring():
 
 def test_unanimity_propagates():
     net = KeyedNet(0.45, 0.0, 123, Window(-9, 9, 0, 7), direction=BACKWARD)
-    dag = build_dag(net, Vertex(0, 7), 0)
+    dag = build_dag(net, Vertex(0, 7))
     lam = point_mass(3, 2)
     colors = color_dag(dag, uniform_boundary_table(3), lam, uniform_colors(3))
     assert set(colors.values()) == {2}
@@ -142,7 +142,7 @@ def test_unanimity_propagates():
 
 def test_coloring_is_total():
     net = KeyedNet(0.3, 0.15, 55, Window(-10, 10, 0, 8), direction=BACKWARD)
-    dag = build_dag(net, Vertex(1, 8), 0)
+    dag = build_dag(net, Vertex(1, 8))
     colors = color_dag(dag, uniform_boundary_table(2), uniform_colors(2), uniform_colors(2))
     assert set(colors) == dag.vertices
     assert all(c in (1, 2) for c in colors.values())
@@ -179,7 +179,7 @@ def test_reduction_equivalence_fuzz():
             Window(-t - 1, t + 1, 0, t),
             direction=BACKWARD,
         )
-        dag = build_dag(net, Vertex(0 if t % 2 else 1, t), 0)
+        dag = build_dag(net, Vertex(0 if t % 2 else 1, t))
         q = rng.choice([2, 3])
         g = uniform_boundary_table(q)
         lam = uniform_colors(q)

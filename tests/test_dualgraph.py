@@ -41,7 +41,7 @@ def fuzz_net(seed, b=0.3, kappa=0.1, t=6):
 
 def test_chain_graph_when_no_branch_no_kill():
     net, root = fuzz_net(5, b=0.0, kappa=0.0, t=5)
-    dag = build_dag(net, root, 0)
+    dag = build_dag(net, root)
     kinds = list(dag.kinds.values())
     assert kinds.count(DagKind.TIME_ZERO_LEAF) == 1
     assert kinds.count(DagKind.ROOT) == 1
@@ -53,14 +53,14 @@ def test_chain_graph_when_no_branch_no_kill():
 
 def test_root_killing_point_single_vertex():
     net, root = fuzz_net(5, b=0.0, kappa=1.0, t=4)
-    dag = build_dag(net, root, 0)
+    dag = build_dag(net, root)
     assert dag.kinds == {root: DagKind.KILLING_LEAF}
     assert dag.children[root] == ()
 
 
 def test_root_at_horizon_is_leaf():
     net, _ = fuzz_net(5, t=4)
-    dag = build_dag(net, Vertex(1, 0), 0)
+    dag = build_dag(net, Vertex(1, 0))
     assert dag.kinds == {Vertex(1, 0): DagKind.TIME_ZERO_LEAF}
 
 
@@ -68,26 +68,26 @@ def test_build_dag_requires_backward_net():
     w = Window(-5, 5, 0, 4)
     net = KeyedNet(0.2, 0.1, 1, w, direction=FORWARD)
     with pytest.raises(InvalidParameterError):
-        build_dag(net, Vertex(1, 4) if (1 + 4) % 2 else Vertex(0, 4), 0)
+        build_dag(net, Vertex(1, 4) if (1 + 4) % 2 else Vertex(0, 4))
 
 
 def test_build_dag_window_escape_errors():
     net = KeyedNet(1.0, 0.0, 1, Window(-2, 2, 0, 4), direction=BACKWARD)
     with pytest.raises(WindowError):
-        build_dag(net, Vertex(0, 4) if (0 + 4) % 2 else Vertex(1, 4), 0)
+        build_dag(net, Vertex(0, 4) if (0 + 4) % 2 else Vertex(1, 4))
 
 
 def test_build_dag_deterministic():
     net, root = fuzz_net(17)
-    d1 = build_dag(net, root, 0)
-    d2 = build_dag(net, root, 0)
+    d1 = build_dag(net, root)
+    d2 = build_dag(net, root)
     assert d1.kinds == d2.kinds and d1.children == d2.children and d1.uniforms == d2.uniforms
 
 
 def test_fixture_field_structure():
     field = ArrowField.from_text((FIXTURES / "branching_demo_field.txt").read_text())
     assert field.direction == BACKWARD
-    dag = build_dag(field, Vertex(1, 4), 0)
+    dag = build_dag(field, Vertex(1, 4))
     expected = dag_from_json((FIXTURES / "branching_demo_dag.json").read_text())
     assert dag.kinds == expected.kinds
     assert dag.children == expected.children
@@ -150,7 +150,7 @@ def test_relevance_equals_bruteforce_on_fuzz():
     for trial in range(800):
         t = rng.randint(2, 6)
         net, root = fuzz_net(70_000 + trial, b=rng.choice([0.15, 0.3, 0.5]), kappa=rng.choice([0.0, 0.1, 0.25]), t=t)
-        dag = build_dag(net, root, 0)
+        dag = build_dag(net, root)
         if len(dag.kinds) > 12:
             continue
         assert relevant_points(dag) == relevant_points_bruteforce(dag)
@@ -167,7 +167,7 @@ def test_relevance_equals_bruteforce_on_larger_fuzz():
     for trial in range(2000):
         t = rng.randint(5, 10)
         net, root = fuzz_net(110_000 + trial, b=rng.choice([0.15, 0.3, 0.5]), kappa=rng.choice([0.0, 0.1, 0.25]), t=t)
-        dag = build_dag(net, root, 0)
+        dag = build_dag(net, root)
         if not 13 <= len(dag.kinds) <= 40:
             continue
         assert relevant_points(dag) == relevant_points_bruteforce(dag)
@@ -187,7 +187,7 @@ def test_reduce_soundness_fuzz():
     rng = random.Random(4)
     for trial in range(300):
         net, root = fuzz_net(90_000 + trial, b=0.35, kappa=0.1, t=rng.randint(3, 8))
-        dag = build_dag(net, root, 0)
+        dag = build_dag(net, root)
         validate_dag(dag)
         red = reduce_dag(dag)
         assert set(red.kinds) <= set(dag.kinds)
@@ -230,7 +230,7 @@ def _connected_through_irrelevant(dag, parent, child, keep):
 
 def test_reduce_idempotent_on_reduced():
     net, root = fuzz_net(424242, b=0.4, kappa=0.1, t=7)
-    red = reduce_dag(build_dag(net, root, 0))
+    red = reduce_dag(build_dag(net, root))
     again = reduce_dag(red)
     assert again.kinds == red.kinds
     assert again.children == red.children
@@ -242,7 +242,7 @@ def test_reduce_idempotent_on_reduced():
 
 def test_differ_only_by_root_self():
     net, root = fuzz_net(7, t=6)
-    red = reduce_dag(build_dag(net, root, 0))
+    red = reduce_dag(build_dag(net, root))
     assert differ_only_by_root(red, red)
 
 
@@ -275,8 +275,8 @@ def test_adjacent_roots_differ_only_by_root_more_often_at_fine_scale():
             w = Window(-3 * t, 3 * t, 0, t)
             net = KeyedNet(b, kappa, 1_000_000 * eps_exp + trial, w, direction=BACKWARD)
             x0 = 0 if t % 2 else 1
-            g1 = reduce_dag(build_dag(net, Vertex(x0, t), 0))
-            g2 = reduce_dag(build_dag(net, Vertex(x0 + 2, t), 0))
+            g1 = reduce_dag(build_dag(net, Vertex(x0, t)))
+            g2 = reduce_dag(build_dag(net, Vertex(x0 + 2, t)))
             freq += differ_only_by_root(g1, g2)
         return freq / n
 
@@ -292,7 +292,7 @@ def test_adjacent_roots_differ_only_by_root_more_often_at_fine_scale():
 
 def test_json_round_trip_preserves_everything():
     net, root = fuzz_net(2718, b=0.35, kappa=0.15, t=7)
-    dag = build_dag(net, root, 0)
+    dag = build_dag(net, root)
     back = dag_from_json(dag_to_json(dag))
     assert back.root == dag.root
     assert back.kinds == dag.kinds
@@ -306,7 +306,7 @@ def test_json_round_trip_preserves_everything():
 
 def test_dot_export_mentions_every_vertex():
     net, root = fuzz_net(12, t=5)
-    dag = build_dag(net, root, 0)
+    dag = build_dag(net, root)
     dot = dag_to_dot(dag)
     for v in dag.kinds:
         assert f'"{v.x},{v.t}"' in dot

@@ -103,7 +103,7 @@ def test_exact_law_vs_large_monte_carlo():
 def test_forward_oracle_guards():
     params = potts_params(1.0, 3)
     with pytest.raises(StateSpaceError):
-        exact_forward_law(params, [(1, 12)], max_states=1000)
+        exact_forward_law(params, [(1, 12)])  # 3^13 base states, past the 250k cap
     with pytest.raises(ParityError):
         exact_forward_law(params, [(0, 2)])
     with pytest.raises(InvalidParameterError):
@@ -113,7 +113,7 @@ def test_forward_oracle_guards():
 def test_dual_oracle_config_cap():
     params = potts_params(1.0, 3)
     with pytest.raises(StateSpaceError):
-        exact_dual_law(params, [(1, 4)], max_configs=100)
+        exact_dual_law(params, [(1, 4)])  # 4^10 configurations, past the 300k cap
 
 
 def test_joint_law_validation():
@@ -184,6 +184,13 @@ def test_window_error_on_exactly_the_graph_seeds():
     ]
     with pytest.raises(WindowError):
         dual_colors_genealogy(params, 0, [(5, 0)], win)  # a query point outside
+    potts = potts_params(1.0, 3)
+    for window, query in ((Window(-5, 5, 0, 1), (1, 2)), (Window(-5, 5, 1, 3), (0, 3))):
+        # a query above the window's top; a window that starts above t = 0
+        with pytest.raises(WindowError):
+            dual_colors_graph(potts, 3, [query], window)
+        with pytest.raises(WindowError):
+            dual_colors_genealogy(potts, 3, [query], window)
 
 
 @pytest.mark.parametrize(

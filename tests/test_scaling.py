@@ -170,7 +170,8 @@ def test_marginal_experiment_runs_and_reports():
 def test_marginal_experiment_budget_guard():
     sched = potts_style_schedule(3, (3, 8))
     with pytest.raises(BudgetError):
-        marginal_convergence_experiment(sched, [(0.5, 0.5)], trials=10, seed=0, budget_cap=10_000)
+        # level 8 needs 256 columns x 32768 rows = 8.39e6, past the 600k cap
+        marginal_convergence_experiment(sched, [(0.5, 0.5)], trials=10, seed=0)
 
 
 def test_marginal_pure_voter_marginal_is_lambda():
@@ -208,15 +209,17 @@ def test_interface_experiment_small():
 
 def test_interface_experiment_worker_invariance():
     sched = potts_style_schedule(3, (2, 3), lam=ColorDistribution(3, (0.5, 0.3, 0.2)))
-    a = interface_experiment(sched, (0.0, 1.0), 0.5, trials=40, seed=5, workers=1, chunk=7)
-    b = interface_experiment(sched, (0.0, 1.0), 0.5, trials=40, seed=5, workers=3, chunk=13)
+    # 120 trials make three jobs of 50, 50 and 20 per level to reassemble
+    a = interface_experiment(sched, (0.0, 1.0), 0.5, trials=120, seed=5, workers=1)
+    b = interface_experiment(sched, (0.0, 1.0), 0.5, trials=120, seed=5, workers=3)
     assert a == b
 
 
 def test_marginal_experiment_worker_invariance():
     sched = potts_style_schedule(2, (2, 3))
-    a = marginal_convergence_experiment(sched, [(0.5, 0.25)], trials=300, seed=8, workers=1, chunk=50)
-    b = marginal_convergence_experiment(sched, [(0.5, 0.25)], trials=300, seed=8, workers=4, chunk=17)
+    # 1200 trials make three jobs of 500, 500 and 200 per level to reassemble
+    a = marginal_convergence_experiment(sched, [(0.5, 0.25)], trials=1200, seed=8, workers=1)
+    b = marginal_convergence_experiment(sched, [(0.5, 0.25)], trials=1200, seed=8, workers=4)
     assert a == b
 
 
