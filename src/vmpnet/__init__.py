@@ -59,7 +59,6 @@ from .models import (
     transition_distribution,
 )
 from .scaling import (
-    RescaledPoint,
     ScalingSchedule,
     interface_census,
     marginal_convergence_experiment,

@@ -25,6 +25,7 @@ from .dualgraph import dag_from_json, dag_to_dot, dag_to_json, reduce_dag
 from .duality import (
     GATE_NEED,
     GOF_MIN_TRIALS,
+    GOF_TRIALS,
     _encode_tuples,
     as_query_points,
     dual_sample_many,
@@ -192,7 +193,7 @@ def cmd_dual_sample(args) -> int:
 def cmd_check_duality(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
-    trials = args.trials if args.trials is not None else expect(cfg, "trials", int, required=False, default=100_000)
+    trials = args.trials if args.trials is not None else expect(cfg, "trials", int, required=False, default=GOF_TRIALS)
     if trials < GOF_MIN_TRIALS:
         raise ConfigError(f"check-duality needs at least {GOF_MIN_TRIALS} trials per side, got {trials}")
     run = RunDir(args.out, "check-duality", {"cfg": cfg, "trials": trials}, seed)
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--config", help="JSON config file")
     sp.add_argument("--workers", type=int, default=1, help="parallel workers over trials")
-    sp.add_argument("--trials", type=int, help="samples per side (default 100000)")
+    sp.add_argument("--trials", type=int, help=f"samples per side (default {GOF_TRIALS})")
     sp.add_argument("--corrupt", action="store_true", help="run the power check (transposed dual)")
     sp.set_defaults(fn=cmd_check_duality)
 
@@ -435,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-all", help="run every invariant/oracle gate")
     _add_common(sp)
     sp.add_argument("--workers", type=int, default=1, help="parallel workers over trials")
-    sp.add_argument("--gof-trials", type=int, default=100_000, dest="gof_trials")
+    sp.add_argument("--gof-trials", type=int, default=GOF_TRIALS, dest="gof_trials")
     sp.set_defaults(fn=cmd_verify_all)
     return ap
 

@@ -475,6 +475,8 @@ def corrupted(params: VmpParams) -> VmpParams:
     )
 
 
+#: Draws per side of the statistical gate unless a run sets its own.
+GOF_TRIALS = 100_000
 #: Fewest draws per side the statistical gate accepts.
 GOF_MIN_TRIALS = 10_000
 #: Significance level of each setting's chi-square in the statistical gate.

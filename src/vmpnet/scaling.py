@@ -8,6 +8,9 @@ must stop moving beyond Monte Carlo noise.  Colors at scale come from the
 batched dual sampler ``dual_colors_genealogy``, one call per chunk of
 trials: it visits only the genealogy of the query points, level by level,
 and is bit-identical to a forward run with the same seed.
+
+The cross-level experiments share one level driver, ``_run_levels``; each
+is its query vertices, its budget formula and a chunk reducer.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .coloring import ColorDistribution, uniform_boundary_table, uniform_colors
 from .duality import (
     JointColorLaw,
     _encode_tuples,
-    cone_window,
     dual_colors_genealogy,
     pooled_two_sample_chisquare,
 )
@@ -104,45 +106,15 @@ def snap(point: tuple[float, float], eps: float) -> Vertex:
     return Vertex(lo if d_lo <= d_hi else hi, t_n)
 
 
-@dataclass(frozen=True)
-class RescaledPoint:
-    """A continuum point with its snapped lattice vertex per schedule level.
-
-    Snapped vertices satisfy |eps*x_n - x| <= eps and
-    |eps^2*t_n - t| <= eps^2 with x_n + t_n odd.
-    """
-
-    continuum: tuple[float, float]
-    eps_levels: tuple[float, ...]
-    snapped: tuple[Vertex, ...] = ()
-
-    def __post_init__(self):
-        snapped = tuple(snap(self.continuum, e) for e in self.eps_levels)
-        object.__setattr__(self, "snapped", snapped)
-        x, t = self.continuum
-        for e, v in zip(self.eps_levels, snapped):
-            if abs(e * v.x - x) > e + 1e-12 or abs(e * e * v.t - t) > e * e + 1e-12:
-                raise InvalidParameterError(f"snap error bound violated at eps={e}")
-
-    def at_level(self, n: int) -> Vertex:
-        return self.snapped[n]
-
-
 # ---------------------------------------------------------------------------
 # Slice censuses
 # ---------------------------------------------------------------------------
 
-def interface_census(
-    slice_row: dict[int, int], x_lo: int, x_hi: int, eps: float | None = None
-) -> tuple[list[int], list[float]]:
+def interface_census(slice_row: dict[int, int], x_lo: int, x_hi: int) -> list[int]:
     """Boundary midpoints between adjacent same-parity sites of different
-    color inside [x_lo, x_hi], plus interval lengths (rescaled by eps when
-    given, else lattice units)."""
+    color inside [x_lo, x_hi]."""
     xs = sorted(x for x in slice_row if x_lo <= x <= x_hi)
-    boundaries = [x + 1 for x, nxt in zip(xs, xs[1:]) if slice_row[x] != slice_row[nxt]]
-    scale = eps if eps is not None else 1.0
-    lengths = [(b2 - b1) * scale for b1, b2 in zip(boundaries, boundaries[1:])]
-    return boundaries, lengths
+    return [x + 1 for x, nxt in zip(xs, xs[1:]) if slice_row[x] != slice_row[nxt]]
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +204,37 @@ def _bootstrap_tvd_ci(counts_a: np.ndarray, counts_b: np.ndarray, seed: int) -> 
 def _marginal_chunk(job, levels, seed, q, k):
     n, c0, c1 = job
     lv = levels[n]
-    seeds = derive_seed_array(seed, c0, c1, "marginal", n)
-    colors = dual_colors_genealogy(lv["params"], seeds, lv["snapped"], lv["window"])
+    colors = dual_colors_genealogy(lv["params"], derive_seed_array(seed, c0, c1, "marginal", n), lv["snapped"])
     return np.bincount(_encode_tuples(colors, q), minlength=q ** k)
 
 
 def _interface_chunk(job, levels, seed):
     n, c0, c1 = job
     lv = levels[n]
-    seeds = derive_seed_array(seed, c0, c1, "interface", n)
-    xs = lv["xs"]
-    rows = dual_colors_genealogy(lv["params"], seeds, [(x, lv["t_n"]) for x in xs], lv["window"])
-    return [len(interface_census(dict(zip(xs, row.tolist())), xs[0], xs[-1])[0]) for row in rows]
+    rows = dual_colors_genealogy(lv["params"], derive_seed_array(seed, c0, c1, "interface", n), lv["snapped"])
+    xs = [v.x for v in lv["snapped"]]
+    return [len(interface_census(dict(zip(xs, row.tolist())), xs[0], xs[-1])) for row in rows]
+
+
+def _run_levels(schedule, snap_level, budget, chunk, job_trials, trials, workers) -> list[list]:
+    """Each level's ``chunk`` results in trial order.
+
+    Level n queries the vertices ``snap_level(n)`` and must have
+    ``budget(eps_n)`` within the cap; snapping comes first, so a bad point
+    is a parameter error at any budget.  Trials run in jobs of
+    ``job_trials``, each ``chunk(job, levels=...)`` with job (n, c0, c1).
+    """
+    levels = []
+    for n, eps in enumerate(schedule.eps_levels):
+        snapped = snap_level(n)
+        cost = budget(eps)
+        if cost > _BUDGET_CAP:
+            raise BudgetError(f"level {n}: budget {cost:.3g} exceeds cap {_BUDGET_CAP}")
+        levels.append({"params": schedule.level_params(n), "snapped": snapped, "t_n": max(v.t for v in snapped)})
+    starts = range(0, trials, job_trials)
+    jobs = [(n, c0, min(c0 + job_trials, trials)) for n in range(len(levels)) for c0 in starts]
+    results = parallel_map(functools.partial(chunk, levels=levels), jobs, workers)
+    return [results[n * len(starts):(n + 1) * len(starts)] for n in range(len(levels))]
 
 
 def marginal_convergence_experiment(
@@ -262,31 +253,18 @@ def marginal_convergence_experiment(
     """
     q = schedule.q
     k = len(points)
-    rescaled = [RescaledPoint(tuple(pt), schedule.eps_levels) for pt in points]
-    levels = []
-    for n in range(schedule.n_levels):
-        eps = schedule.eps_levels[n]
-        params = schedule.level_params(n)
-        snapped = [rp.at_level(n) for rp in rescaled]
-        window = cone_window(snapped)
-        x_extent = max(p[0] for p in points) - min(p[0] for p in points) + 1.0
-        t_extent = max(p[1] for p in points)
-        budget = (x_extent / eps) * max(t_extent / (eps * eps), 1.0)
-        if budget > _BUDGET_CAP:
-            raise BudgetError(f"level {n}: budget {budget:.3g} exceeds cap {_BUDGET_CAP}")
-        levels.append({"eps": eps, "params": params, "snapped": snapped, "window": window})
-
-    jobs = [  # 500 trials per job
-        (n, c0, min(c0 + 500, trials))
-        for n in range(schedule.n_levels)
-        for c0 in range(0, trials, 500)
-    ]
-    results = parallel_map(
-        functools.partial(_marginal_chunk, levels=levels, seed=seed, q=q, k=k), jobs, workers
+    x_extent = max(p[0] for p in points) - min(p[0] for p in points) + 1.0
+    t_extent = max(p[1] for p in points)
+    chunks = _run_levels(
+        schedule,
+        lambda n: [snap(pt, schedule.eps_levels[n]) for pt in points],
+        lambda eps: (x_extent / eps) * max(t_extent / (eps * eps), 1.0),
+        functools.partial(_marginal_chunk, seed=seed, q=q, k=k),
+        500,
+        trials,
+        workers,
     )
-    per_level_counts = [np.zeros(q ** k, dtype=np.int64) for _ in range(schedule.n_levels)]
-    for (n, _, _), counts in zip(jobs, results):
-        per_level_counts[n] += counts
+    per_level_counts = [sum(c) for c in chunks]
 
     laws = [JointColorLaw(q, (c / trials).reshape((q,) * k)) for c in per_level_counts]
     tvds = []
@@ -321,42 +299,29 @@ def interface_experiment(
     finest levels' count distributions.
 
     Each trial colors one whole box slice through a shared-field dual
-    genealogy and counts adjacent color changes.  The per-level lattice
-    budget is checked against the (x-extent/eps)*(t-extent/eps^2) formula
-    within a factor of two (per-parity storage halves it).
+    genealogy and counts adjacent color changes.  The per-level budget,
+    (x-extent/eps) * (t-extent/eps^2), is guarded.
     """
-    levels = []
-    for n in range(schedule.n_levels):
-        eps = schedule.eps_levels[n]
-        params = schedule.level_params(n)
-        t_n = max(1, math.ceil(t_rescaled / (eps * eps) - 0.5))
-        x_lo = math.ceil(box[0] / eps)
-        x_hi = math.floor(box[1] / eps)
-        xs = [x for x in range(x_lo, x_hi + 1) if (x + t_n) % 2 == 1]
-        if len(xs) < 2:
-            raise InvalidParameterError(f"level {n}: box holds {len(xs)} sites, need >= 2")
-        budget = ((box[1] - box[0]) / eps) * (t_rescaled / (eps * eps))
-        if budget > _BUDGET_CAP:
-            raise BudgetError(f"level {n}: budget {budget:.3g} exceeds cap {_BUDGET_CAP}")
-        measured = len(xs) * t_n
-        if not (0.5 * budget <= measured <= 2.0 * budget):
-            raise BudgetError(
-                f"level {n}: measured lattice {measured} not within 2x of formula {budget:.3g}"
-            )
-        window = Window(x_lo - t_n, x_hi + t_n, 0, t_n)
-        levels.append({"eps": eps, "params": params, "t_n": t_n, "xs": xs, "window": window})
 
-    jobs = [  # 50 trials per job
-        (n, c0, min(c0 + 50, trials))
-        for n in range(schedule.n_levels)
-        for c0 in range(0, trials, 50)
-    ]
-    results = parallel_map(
-        functools.partial(_interface_chunk, levels=levels, seed=seed), jobs, workers
+    def slice_sites(n):
+        eps = schedule.eps_levels[n]
+        t_n = max(1, math.ceil(t_rescaled / (eps * eps) - 0.5))
+        xs = range(math.ceil(box[0] / eps), math.floor(box[1] / eps) + 1)
+        sites = [Vertex(x, t_n) for x in xs if (x + t_n) % 2 == 1]
+        if len(sites) < 2:
+            raise InvalidParameterError(f"level {n}: box holds {len(sites)} sites, need >= 2")
+        return sites
+
+    chunks = _run_levels(
+        schedule,
+        slice_sites,
+        lambda eps: ((box[1] - box[0]) / eps) * (t_rescaled / (eps * eps)),
+        functools.partial(_interface_chunk, seed=seed),
+        50,
+        trials,
+        workers,
     )
-    per_level: list[list[int]] = [[] for _ in range(schedule.n_levels)]
-    for (n, c0, _), counts in zip(jobs, results):
-        per_level[n].extend(counts)
+    per_level = [[c for chunk in level for c in chunk] for level in chunks]
 
     max_count = max(max(c) for c in per_level) + 1
     hists = [np.bincount(c, minlength=max_count) for c in per_level]

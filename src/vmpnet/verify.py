@@ -25,6 +25,7 @@ from .dualgraph import (
 from .duality import (
     GATE_NEED,
     GOF_ALPHA,
+    GOF_TRIALS,
     _q3_asym,
     exact_dual_law,
     exact_forward_law,
@@ -292,7 +293,7 @@ def gate_coarsening(seed: int, workers: int = 1) -> dict:
     return rep
 
 
-def run_all(seed: int, workers: int = 1, gof_trials: int = 100_000) -> dict:
+def run_all(seed: int, workers: int = 1, gof_trials: int = GOF_TRIALS) -> dict:
     """Every gate, deterministic in (seed, sizes); worker count only
     parallelizes."""
     gates = [

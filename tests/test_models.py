@@ -21,9 +21,10 @@ from vmpnet.models import (
     potts_rates,
     simple_vmp,
     simulate,
+    site_colors,
     transition_distribution,
 )
-from vmpnet.rng import derive_seed_array
+from vmpnet.rng import derive_seed_array, vertex_uniform_grid
 
 LN2 = math.log(2.0)
 
@@ -352,11 +353,12 @@ def test_one_step_disagreeing_neighbors_law():
     params = potts_params(LN2, 3)
     expected = transition_distribution(params, 1, 2).as_array()
     n = 10 ** 5
-    counts = np.zeros(3)
+    # site (0, 1) of seeds 0..n-1 in one call, drawn as simulate draws it
+    left, right = np.full(n, 1, dtype=np.uint8), np.full(n, 2, dtype=np.uint8)
+    out = site_colors(params, vertex_uniform_grid(np.arange(n, dtype=np.uint64), 0, 1), left, right)
     row = {-1: 1, 1: 2}
-    for seed in range(n):
-        out = simulate(params, -1, 1, 1, seed, initial=row).slice_at(1)
-        counts[out[0] - 1] += 1
+    assert out[:1000].tolist() == [simulate(params, -1, 1, 1, s, initial=row).slice_at(1)[0] for s in range(1000)]
+    counts = np.bincount(out, minlength=4)[1:]
     for c in range(3):
         p = expected[c]
         assert abs(counts[c] / n - p) <= 4 * math.sqrt(p * (1 - p) / n)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from vmpnet.models import potts_params, simulate
 from vmpnet.rng import derive_seed
 from vmpnet.scaling import (
     ScalingSchedule,
+    coarsening_gate,
     interface_census,
     interface_experiment,
     marginal_convergence_experiment,
@@ -73,11 +76,9 @@ def test_schedule_validation():
 
 def test_interface_census_trivial():
     mono = {x: 2 for x in range(-9, 10, 2)}
-    assert interface_census(mono, -9, 9) == ([], [])
+    assert interface_census(mono, -9, 9) == []
     alternating = {x: 1 + ((x + 9) // 2) % 2 for x in range(-9, 10, 2)}
-    boundaries, lengths = interface_census(alternating, -9, 9, eps=0.25)
-    assert len(boundaries) == 9
-    assert all(le == 0.5 for le in lengths)  # gaps of 2 lattice units, rescaled
+    assert interface_census(alternating, -9, 9) == list(range(-8, 9, 2))
 
 
 def test_separation_census_no_branching():
@@ -223,10 +224,30 @@ def test_marginal_experiment_worker_invariance():
     assert a == b
 
 
-def test_rescaled_point_tracks_levels():
-    from vmpnet.scaling import RescaledPoint
+def test_interface_experiment_short_time_is_within_budget():
+    # t_n is 1 and 6 at the two levels: lattices of 5 and 48 sites against
+    # the formula's 11.9 and 95.4, far below the cap
+    rep = interface_experiment(potts_style_schedule(3, (3, 4)), (0.0, 1.0), 1.49 / 64, 20, 1)
+    assert [sum(h) for h in rep["histograms"]] == [20, 20]
 
-    rp = RescaledPoint((0.5, 1.0), (0.5, 0.25))
-    assert rp.at_level(0) == snap((0.5, 1.0), 0.5) == Vertex(1, 4)
-    assert rp.at_level(1) == snap((0.5, 1.0), 0.25)
-    assert len(rp.snapped) == 2
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize(
+    "run, digest",
+    [
+        (lambda w: interface_experiment(
+            potts_style_schedule(3, (2, 3), lam=ColorDistribution(3, (0.5, 0.3, 0.2))),
+            (0.0, 1.0), 0.5, 120, 5, workers=w,
+        ), "66dbb1922490273f3693a8d6bf05c833466af09ebf7df92fd1ec0aa23720c118"),
+        (lambda w: marginal_convergence_experiment(
+            potts_style_schedule(2, (2, 3)), [(0.5, 0.25), (0.25, 0.5)], 1200, 8, workers=w,
+        ), "88ff83086a35bfa82f81d24d04e1d0cdbd82d575ca8f2e5f3386fef8e098a4eb"),
+        (lambda w: coarsening_gate(10, 120, 42, workers=w),
+         "ce23a0fd03790a3af6358555a5230f4643e774ea3d498e2f164ff0c4cef283e5"),
+    ],
+    ids=["interface", "marginal", "coarsening"],
+)
+def test_experiment_golden_json(run, digest, workers):
+    # digests of the reports written when each experiment had its own level loop
+    doc = json.dumps(run(workers), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
