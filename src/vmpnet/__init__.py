@@ -42,7 +42,6 @@ from .lattice_net import (
     KeyedNet,
     Vertex,
     Window,
-    sample_arrow_field,
 )
 from .models import (
     ColorField,

@@ -49,9 +49,6 @@ class ColorDistribution:
     def cum(self) -> tuple[float, ...]:
         return self._cum
 
-    def __call__(self, color: int) -> float:
-        return self.weights[color - 1]
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=np.float64)
 

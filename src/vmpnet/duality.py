@@ -79,10 +79,6 @@ class JointColorLaw:
         if abs(self.probs.sum() - 1.0) > 1e-10:
             raise InvalidParameterError(f"law sums to {self.probs.sum()!r}")
 
-    @property
-    def k(self) -> int:
-        return self.probs.ndim
-
     def tvd(self, other: "JointColorLaw") -> float:
         return 0.5 * float(np.abs(self.probs - other.probs).sum())
 
@@ -177,7 +173,7 @@ def _sample_many(sample, k: int, master_seed: int, trials: int, stream: str) -> 
 def dual_sample_many(params: VmpParams, points, master_seed: int, trials: int) -> np.ndarray:
     """(trials, k) dual colors; trial i uses the seed derived from index i."""
     pts = as_query_points(points)
-    sample = functools.partial(dual_colors_genealogy, params, points=pts, window=cone_window(pts))
+    sample = functools.partial(dual_colors_genealogy, params, points=pts)
     return _sample_many(sample, len(pts), master_seed, trials, "dual-trial")
 
 

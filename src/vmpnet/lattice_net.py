@@ -7,22 +7,25 @@ probability b), or no arrow at all (killing, probability kappa).  Arrows
 point from (x, t) to (x +- 1, t + direction); direction +1 is the forward
 net, direction -1 the backward net used for color genealogies.
 
-All randomness is keyed per vertex (see :mod:`vmpnet.rng`), so a field is a
-deterministic function of (seed, window, b, kappa) and the forward and
-backward constructions can share one randomness source.
+All randomness is keyed per vertex (see :mod:`vmpnet.rng`), so a net is a
+deterministic function of (seed, b, kappa) and the forward and backward
+constructions can share one randomness source.  One vector kernel,
+``arrow_outcomes``, classifies the uniforms for the batched samplers;
+``KeyedNet`` is the per-vertex view of the same net, and ``ArrowField`` a
+net whose outcomes a text fixture pins.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError, ParityError, WindowError
-from .rng import vertex_uniform, vertex_uniform_grid
+from .rng import vertex_uniform
 
 FORWARD = 1
 BACKWARD = -1
@@ -69,11 +72,6 @@ class Window:
         first = self.x_min + ((self.x_min + t + 1) % 2)
         return range(first, self.x_max + 1, 2)
 
-    def vertices(self) -> Iterator[Vertex]:
-        for t in range(self.t_min, self.t_max + 1):
-            for x in self.columns(t):
-                yield Vertex(x, t)
-
 
 def validate_probabilities(b: float, kappa: float) -> None:
     if not (isinstance(b, (int, float)) and isinstance(kappa, (int, float))):
@@ -107,64 +105,54 @@ def arrow_outcomes(u, w: float, kappa: float) -> np.ndarray:
     return np.where(u < 1.0 - kappa, out, ArrowOutcome.NONE).astype(np.uint8)
 
 
-@dataclass
-class ArrowField:
-    """Arrow outcomes for every odd vertex of a window.
+class KeyedNet:
+    """A sampled net: the outcome of each vertex is computed on demand from
+    its keyed uniform, so no window is ever materialized and enlarging the
+    window keeps every outcome."""
 
-    ``direction`` tells how outcomes are read: vertex (x, t) sends its
-    arrows to (x - 1, t + direction) and/or (x + 1, t + direction).
-    """
+    def __init__(self, b: float, kappa: float, seed: int, window: Window, direction: int = BACKWARD):
+        validate_probabilities(b, kappa)
+        if direction not in (FORWARD, BACKWARD):
+            raise InvalidParameterError(f"direction must be +1 or -1, got {direction}")
+        self.b = float(b)
+        self.kappa = float(kappa)
+        self.seed = int(seed)
+        self.window = window
+        self.direction = direction
 
-    window: Window
-    b: float
-    kappa: float
-    seed: int
-    direction: int = FORWARD
-    _grid: np.ndarray = field(default=None, repr=False)  # uint8 (rows, cols)
-
-    def __post_init__(self):
-        validate_probabilities(self.b, self.kappa)
-        if self.direction not in (FORWARD, BACKWARD):
-            raise InvalidParameterError(f"direction must be +1 or -1, got {self.direction}")
-        if self._grid is None:
-            raise InvalidParameterError("ArrowField requires a materialized grid; use sample_arrow_field")
-
-    # -- indexing ----------------------------------------------------------
-    def _index(self, x: int, t: int) -> tuple[int, int]:
+    def outcome_at(self, x: int, t: int) -> ArrowOutcome:
         if not is_odd_vertex(x, t):
             raise ParityError(f"vertex ({x},{t}) is not on the odd sublattice")
         if not self.window.contains(x, t):
             raise WindowError(f"vertex ({x},{t}) outside window {self.window}")
-        first = self.window.columns(t).start
-        return t - self.window.t_min, (x - first) // 2
-
-    def outcome_at(self, x: int, t: int) -> ArrowOutcome:
-        r, c = self._index(x, t)
-        return ArrowOutcome(int(self._grid[r, c]))
+        return outcome_from_uniform(vertex_uniform(self.seed, x, t), self.b, self.kappa)
 
     def uniform_at(self, x: int, t: int) -> float:
-        self._index(x, t)  # parity/window validation
         return vertex_uniform(self.seed, x, t)
 
-    def outcomes(self) -> dict[Vertex, ArrowOutcome]:
-        return {v: self.outcome_at(v.x, v.t) for v in self.window.vertices()}
 
-    # -- serialization -----------------------------------------------------
-    def to_text(self) -> str:
-        w = self.window
-        header = f"window {w.x_min} {w.x_max} {w.t_min} {w.t_max} {self.b!r} {self.kappa!r} {self.seed}"
-        if self.direction == BACKWARD:
-            header += " backward"
-        rows = []
-        for t in range(w.t_min, w.t_max + 1):
-            r = t - w.t_min
-            n = len(w.columns(t))
-            rows.append("".join(_OUTCOME_CHARS[int(o)] for o in self._grid[r, :n]))
-        return header + "\n" + "\n".join(rows) + "\n"
+class ArrowField(KeyedNet):
+    """A net whose outcomes are pinned by a text fixture, not drawn.
+
+    Its uniforms stay keyed by the seed of the header.  Where a pinned
+    outcome disagrees with the seed's, the coloring uniform that
+    ``dualgraph.build_dag`` rescales into the outcome's interval is
+    clamped to an end of [0, 1): the demo fixture gives 0.9999999999999999
+    at (1, 2) and 0.0 at (0, 1).
+    """
+
+    def outcome_at(self, x: int, t: int) -> ArrowOutcome:
+        if not is_odd_vertex(x, t):
+            raise ParityError(f"vertex ({x},{t}) is not on the odd sublattice")
+        if not self.window.contains(x, t):
+            raise WindowError(f"vertex ({x},{t}) outside window {self.window}")
+        row = t - self.window.t_min
+        return ArrowOutcome(int(self._grid[row, (x - self.window.columns(t).start) // 2]))
 
     @classmethod
     def from_text(cls, text: str) -> "ArrowField":
-        """Parse the ``to_text`` format; malformed text raises
+        """Parse ``window x_min x_max t_min t_max b kappa seed [backward]``
+        and one row of L/R/B/N per time, t_min first; malformed text raises
         InvalidParameterError."""
         lines = text.strip("\n").split("\n")
         head = lines[0].split()
@@ -190,54 +178,9 @@ class ArrowField:
         grid = np.zeros((len(rows), max(widths)), dtype=np.uint8)
         for r, line in enumerate(rows):
             grid[r, : len(line)] = [int(_CHAR_TO_OUTCOME[c]) for c in line]
-        return cls(window, b, kappa, seed, BACKWARD if head[8:] else FORWARD, grid)
-
-
-def sample_arrow_field(
-    window: Window, b: float, kappa: float, seed: int, direction: int = FORWARD
-) -> ArrowField:
-    """Sample an arrow field; deterministic in (seed, window, b, kappa).
-
-    The uniform for vertex (x, t) depends only on (seed, x, t), so enlarging
-    the window reproduces the outcomes of the smaller one.
-    """
-    validate_probabilities(b, kappa)
-    n_rows = window.t_max - window.t_min + 1
-    width = max(len(window.columns(t)) for t in range(window.t_min, window.t_max + 1))
-    grid = np.zeros((n_rows, width), dtype=np.uint8)
-    w = 1.0 - b - kappa
-    for t in range(window.t_min, window.t_max + 1):
-        cols = window.columns(t)
-        xs = np.arange(cols.start, window.x_max + 1, 2, dtype=np.int64)
-        u = vertex_uniform_grid(np.uint64(seed), xs, np.int64(t))
-        grid[t - window.t_min, : len(xs)] = arrow_outcomes(u, w, kappa)
-    return ArrowField(window, b, kappa, seed, direction, grid)
-
-
-class KeyedNet:
-    """Lazy view of a sampled net: outcomes computed per vertex on demand.
-
-    Same outcomes as :func:`sample_arrow_field` with equal (seed, b, kappa);
-    used where materializing a large window would be wasteful.
-    """
-
-    def __init__(self, b: float, kappa: float, seed: int, window: Window, direction: int = BACKWARD):
-        validate_probabilities(b, kappa)
-        self.b = float(b)
-        self.kappa = float(kappa)
-        self.seed = int(seed)
-        self.window = window
-        self.direction = direction
-
-    def outcome_at(self, x: int, t: int) -> ArrowOutcome:
-        if not is_odd_vertex(x, t):
-            raise ParityError(f"vertex ({x},{t}) is not on the odd sublattice")
-        if not self.window.contains(x, t):
-            raise WindowError(f"vertex ({x},{t}) outside window {self.window}")
-        return outcome_from_uniform(vertex_uniform(self.seed, x, t), self.b, self.kappa)
-
-    def uniform_at(self, x: int, t: int) -> float:
-        return vertex_uniform(self.seed, x, t)
+        net = cls(b, kappa, seed, window, BACKWARD if head[8:] else FORWARD)
+        net._grid = grid
+        return net
 
 
 def _step_positions(net, positions: set[int], u: int) -> set[int]:
@@ -260,7 +203,7 @@ def reachable_positions(
     ``starts`` are x positions at time ``t_from``; returns, for each time u
     in [t_from, t_to], the set of positions occupied by live walkers at u.
     Walkers at an arrowless vertex appear at their killing time and are
-    then removed.  ``net`` is an ArrowField or KeyedNet; evolution follows
+    then removed.  ``net`` is a KeyedNet (or ArrowField); evolution follows
     its direction.  ``x_bounds`` drops walkers that leave [lo, hi]; callers
     use it to clip to a dependence cone that escaped walkers cannot
     re-enter in time.

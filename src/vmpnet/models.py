@@ -111,17 +111,6 @@ class ColorField:
     def __post_init__(self):
         if self.parity not in ("odd", "even"):
             raise InvalidParameterError("parity must be 'odd' or 'even'")
-        want = 1 if self.parity == "odd" else 0
-        for t, row in self.slices:
-            for x in row:
-                if (x + t) % 2 != want:
-                    raise InvalidParameterError(f"site ({x},{t}) violates {self.parity} parity")
-
-    def slice_at(self, t: int) -> dict[int, int]:
-        for s, row in self.slices:
-            if s == t:
-                return row
-        raise KeyError(t)
 
     def to_csv(self) -> str:
         lines = ["t,x,color"]

@@ -251,6 +251,8 @@ def marginal_convergence_experiment(
     The per-level budget (box columns x box rows, growing like eps^-3 for a
     unit box) is guarded.
     """
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be at least 1, got {trials}")
     q = schedule.q
     k = len(points)
     x_extent = max(p[0] for p in points) - min(p[0] for p in points) + 1.0
@@ -300,8 +302,11 @@ def interface_experiment(
 
     Each trial colors one whole box slice through a shared-field dual
     genealogy and counts adjacent color changes.  The per-level budget,
-    (x-extent/eps) * (t-extent/eps^2), is guarded.
+    (x-extent/eps) * (t-extent/eps^2), is guarded.  The standard errors
+    need ``trials >= 2``.
     """
+    if trials < 2:
+        raise InvalidParameterError(f"trials must be at least 2, got {trials}")
 
     def slice_sites(n):
         eps = schedule.eps_levels[n]

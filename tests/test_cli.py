@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -180,6 +181,12 @@ def test_reduce_graph_from_field_fixture(tmp_path):
     full = json.loads((tmp_path / "rgf" / "full.json").read_text())
     red = json.loads((tmp_path / "rgf" / "reduced.json").read_text())
     assert len(full["vertices"]) == 7 and len(red["vertices"]) == 4
+    digests = {
+        "full.json": "4ffef353577fa7d49ebe3f5e53aa0cb47b6522a390ff47fd2e47d1a201327858",
+        "reduced.json": "ca1a4325771463347a6cc01cdeff869729cc54fca855931ce7f458eee6aa9624",
+    }
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / "rgf" / name).read_bytes()).hexdigest() == digest, name
     code = run_cli("reduce-graph", "--out", tmp_path / "bad", "--seed", "0")
     assert code == 2
 
@@ -238,10 +245,13 @@ _SCALING = {"schedule": {"q": 2, "eps_levels": [0.5, 0.25], "b": 1.0, "kappa": 2
         (["scaling-experiment"], {**_SCALING, "points": [[True, 0.3]]}),
         (["scaling-experiment"],
          {**_SCALING, "schedule": {**_SCALING["schedule"], "eps_levels": [math.nan]}, "points": [[0.5, 0.3]]}),
+        (["scaling-experiment"], {**_SCALING, "points": [[0.5, 0.3]], "trials": 0}),
+        (["scaling-experiment", "--preset", "coarsening"], {"trials_interface": 1, "seed": 1}),
+        (["scaling-experiment", "--preset", "coarsening"], {"trials_interface": 2, "trials_marginal": 0, "seed": 1}),
     ],
     ids=["check-duality-trials", "coarsening-trials-interface", "points-string", "points-float",
          "continuum-point-string", "continuum-point-null", "continuum-point-nan", "continuum-point-bool",
-         "eps-level-nan"],
+         "eps-level-nan", "scaling-zero-trials", "coarsening-one-interface-trial", "coarsening-zero-marginal-trials"],
 )
 def test_bad_integer_config_field_is_config_error(tmp_path, capsys, argv, cfg):
     path = tmp_path / "cfg.json"

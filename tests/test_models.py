@@ -119,7 +119,7 @@ def test_transition_potts_values():
 def test_step_pure_walk_preserves_unanimity():
     params = simple_vmp(3, 0.0, 0.0)
     row = {x: 2 for x in range(-7, 8, 2)}
-    out = simulate(params, -7, 7, 1, 1, initial=row).slice_at(1)
+    out = dict(simulate(params, -7, 7, 1, 1, initial=row).slices)[1]
     assert set(out.values()) == {2}
     assert sorted(out) == list(range(-6, 7, 2))
 
@@ -127,7 +127,7 @@ def test_step_pure_walk_preserves_unanimity():
 def test_step_kappa_one_resamples_from_bulk():
     params = VmpParams(3, 0.0, 0.0, 1.0, uniform_boundary_table(3), point_mass(3, 2), uniform_colors(3))
     row = {x: 1 for x in range(-7, 8, 2)}
-    out = simulate(params, -7, 7, 1, 1, initial=row).slice_at(1)
+    out = dict(simulate(params, -7, 7, 1, 1, initial=row).slices)[1]
     assert set(out.values()) == {2}
 
 
@@ -171,11 +171,11 @@ def test_simulate_deterministic():
 def test_simulate_matches_forward_batch():
     params = potts_params(LN2, 3)
     for seed in (5, 6, 7):
-        field = simulate(params, -9, 9, 4, seed)
+        slices = dict(simulate(params, -9, 9, 4, seed).slices)
         rec = [(1, 4), (-1, 2), (3, 0), (0, 3)]
         got = forward_batch(params, np.array([seed], dtype=np.uint64), -9, 9, rec)
         for j, (x, t) in enumerate(rec):
-            assert field.slice_at(t)[x] == int(got[0, j])
+            assert slices[t][x] == int(got[0, j])
 
 
 def test_one_step_law_matches_transition_distribution():
@@ -357,7 +357,7 @@ def test_one_step_disagreeing_neighbors_law():
     left, right = np.full(n, 1, dtype=np.uint8), np.full(n, 2, dtype=np.uint8)
     out = site_colors(params, vertex_uniform_grid(np.arange(n, dtype=np.uint64), 0, 1), left, right)
     row = {-1: 1, 1: 2}
-    assert out[:1000].tolist() == [simulate(params, -1, 1, 1, s, initial=row).slice_at(1)[0] for s in range(1000)]
+    assert out[:1000].tolist() == [dict(simulate(params, -1, 1, 1, s, initial=row).slices)[1][0] for s in range(1000)]
     counts = np.bincount(out, minlength=4)[1:]
     for c in range(3):
         p = expected[c]
