@@ -137,7 +137,7 @@ def _ascii_map(field) -> str:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
-    params = parse_model(cfg.get("model_config", cfg) if "model" in cfg or "model_config" in cfg else _flags_model(args))
+    params = _read_model(cfg, args)
     x_lo = args.x_lo if args.x_lo is not None else expect(cfg, "x_lo", int)
     x_hi = args.x_hi if args.x_hi is not None else expect(cfg, "x_hi", int)
     steps = args.steps if args.steps is not None else expect(cfg, "steps", int)
@@ -154,16 +154,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _flags_model(args) -> dict:
+def _read_model(cfg: dict, args) -> VmpParams:
+    """The config's top-level model if it names one, else the Potts flags."""
+    if "model" in cfg:
+        return parse_model(cfg)
     if args.beta is not None and args.q is not None:
-        return {"model": "potts", "beta": args.beta, "q": args.q}
+        return parse_model({"model": "potts", "beta": args.beta, "q": args.q})
     raise ConfigError("provide --config with a model, or --beta and --q for a Potts chain")
 
 
 def cmd_dual_sample(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
-    params = parse_model(cfg.get("model_config", cfg) if "model" in cfg or "model_config" in cfg else _flags_model(args))
+    params = _read_model(cfg, args)
     points = _parse_points(cfg, args.points)
     trials = args.trials if args.trials is not None else expect(cfg, "trials", int)
     if trials <= 0:

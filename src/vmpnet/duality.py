@@ -8,15 +8,16 @@ Two independent exact oracles verify this at desk scale:
   over the joint configuration law on the shrinking dependence cone.
 * ``exact_dual_law`` enumerates every arrow configuration of the dual cone,
   weights each by its probability, and propagates exact color laws through
-  the resulting genealogy DAG union (uniforms integrated out vertex by
-  vertex).  The frontier law is joint, never a product of marginals,
-  because coalescence correlates the query genealogies.
+  the resulting genealogy DAG union, one kernel step per vertex (``lam``,
+  ``p``, copy or ``g``; uniforms integrated out vertex by vertex).  The
+  frontier law is joint, never a product of marginals, because
+  coalescence correlates the query genealogies.
 
-Beyond the parameter container, the two computations share only the
-einsum axis alphabet and ``_queries_law``, the last step that reads the
-query tuple's law off the final joint law.  Their dynamic programs are
-separate, so their agreement to 1e-10 is a genuine check of the duality,
-not of a single implementation.  The one Monte-Carlo dual sampler,
+Beyond the parameter container, the two computations share only
+``_queries_law``, the last step that reads the query tuple's law off the
+final joint law.  Their dynamic programs are separate, so their agreement
+to 1e-10 is a genuine check of the duality, not of a single
+implementation.  The one Monte-Carlo dual sampler,
 ``dual_colors_genealogy``, runs a batch of trials level by level with the
 forward chain's site rule; ``dual_colors_graph`` builds each DAG and is its
 reference.  ``duality_gof_test`` adds a two-sample chi-square gate between
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,7 +192,6 @@ def forward_sample_many(params: VmpParams, points, master_seed: int, trials: int
 # Exact forward oracle
 # ---------------------------------------------------------------------------
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 #: Caps of the two exact oracles: joint forward states (q^width) and
 #: enumerated dual arrow configurations.
 _MAX_STATES = 250_000
@@ -248,31 +250,24 @@ def exact_forward_law(params: VmpParams, points) -> JointColorLaw:
 
     for s in range(1, t_max + 1):
         new_sites = sites_at(s)
-        if len(dims) + len(new_sites) > len(_LETTERS):
+        if len(dims) + len(new_sites) > 52:  # einsum's axis labels: A-Z, a-z
             raise StateSpaceError("too many simultaneous axes for the einsum DP")
-        letter = {v: _LETTERS[i] for i, v in enumerate(dims)}
-        operands: list[np.ndarray] = [law]
-        subs = ["".join(letter[v] for v in dims)]
-        new_dims: list[tuple[Vertex, str]] = []
-        nxt = len(dims)
-        for x in new_sites:
-            lv, rv = Vertex(x - 1, s - 1), Vertex(x + 1, s - 1)
-            if lv not in letter or rv not in letter:
-                raise WindowError(f"cone bookkeeping missed neighbors of ({x},{s})")
-            nl = _LETTERS[nxt]
-            nxt += 1
-            operands.append(kernel)
-            subs.append(letter[lv] + letter[rv] + nl)
-            new_dims.append((Vertex(x, s), nl))
-        out_dims = [v for v in dims if v in recorded] + [vd[0] for vd in new_dims]
+        axis = {v: i for i, v in enumerate(dims)}
+        operands: list = [law, list(range(len(dims)))]
+        new_dims = [Vertex(x, s) for x in new_sites]
+        new_axes = list(range(len(dims), len(dims) + len(new_dims)))
+        for v, i in zip(new_dims, new_axes):
+            lv, rv = Vertex(v.x - 1, s - 1), Vertex(v.x + 1, s - 1)
+            if lv not in axis or rv not in axis:
+                raise WindowError(f"cone bookkeeping missed neighbors of ({v.x},{s})")
+            operands += [kernel, [axis[lv], axis[rv], i]]
+        kept = [v for v in dims if v in recorded]
+        out_dims = kept + new_dims
         if q ** len(out_dims) > _MAX_STATES:
             raise StateSpaceError(f"state space {q ** len(out_dims)} exceeds cap {_MAX_STATES}")
-        out_sub = "".join(letter[v] for v in dims if v in recorded) + "".join(
-            nl for _, nl in new_dims
-        )
-        law = np.einsum(",".join(subs) + "->" + out_sub, *operands, optimize=True)
+        law = np.einsum(*operands, [axis[v] for v in kept] + new_axes, optimize=True)
         dims = out_dims
-        recorded |= {Vertex(x, s) for x in new_sites if Vertex(x, s) in query_verts}
+        recorded |= {v for v in new_dims if v in query_verts}
 
     return _queries_law(law, dims, pts, q)
 
@@ -301,120 +296,68 @@ def exact_dual_law(params: VmpParams, points) -> JointColorLaw:
             for x in range(v.x - (v.t - t), v.x + (v.t - t) + 1, 2)
         }
     )
-
-    w, b, kappa = params.w, params.b, params.kappa
-    outcome_probs = [(0, 0.5 * w), (1, 0.5 * w), (2, b), (3, kappa)]  # L, R, Both, None
-    support = [(o, pr) for o, pr in outcome_probs if pr > 0.0]
+    # outcome codes index _CHILD_OFFSETS: L, R, Both, None
+    probs = (0.5 * params.w, 0.5 * params.w, params.b, params.kappa)
+    support = [(o, pr) for o, pr in enumerate(probs) if pr > 0.0]
 
     n_configs = len(support) ** len(decision)
     if n_configs > _MAX_CONFIGS:
         raise StateSpaceError(
             f"{n_configs} arrow configurations exceed cap {_MAX_CONFIGS}; shrink the instance"
         )
+    if q ** len(pts) > _MAX_STATES:
+        raise StateSpaceError(f"{len(pts)} query points give {q ** len(pts)} states (cap {_MAX_STATES})")
     total = np.zeros((q,) * len(pts))
-    for assignment in itertools.product(support, repeat=len(decision)):
-        weight = 1.0
-        outcomes = {}
-        for v, (o, pr) in zip(decision, assignment):
-            weight *= pr
-            outcomes[v] = o
-        law = _dag_union_law(params, pts, outcomes)
-        total += weight * law
+    for config in itertools.product(support, repeat=len(decision)):
+        outcomes = {v: o for v, (o, _) in zip(decision, config)}
+        total += math.prod(pr for _, pr in config) * _dag_union_law(params, pts, outcomes)
     return JointColorLaw(q, total)
+
+
+#: Child x-offsets of a vertex per arrow outcome code: L, R, Both, None.
+_CHILD_OFFSETS = ((-1,), (1,), (-1, 1), ())
 
 
 def _dag_union_law(params: VmpParams, pts: list[Vertex], outcomes: dict[Vertex, int]) -> np.ndarray:
     """Exact joint root-color law for one fixed arrow configuration.
 
-    Propagates the joint color law of the frontier leaves-to-roots: each
-    vertex's color is conditionally independent given its children's
-    colors, but the frontier law stays joint because genealogies share
-    vertices.
+    Visits the DAG union leaves-to-roots, one vertex at a time: the
+    vertex's color axis enters through one kernel over (children..., v),
+    ``lam`` at a time-zero leaf, ``p`` at a killing leaf, the identity for
+    a one-child copy and ``g`` at a branching vertex.  Then each child
+    whose last parent is in, unless it is a root, is summed out.  The law
+    stays joint because genealogies share vertices.
     """
     q = params.q
-    # grow the union of components from all roots under the fixed outcomes
     children: dict[Vertex, tuple[Vertex, ...]] = {}
     stack = list(pts)
     while stack:
         v = stack.pop()
-        if v in children:
-            continue
-        if v.t == 0:
-            children[v] = ()
-            continue
-        o = outcomes[v]
-        if o == 3:
-            children[v] = ()
-        elif o == 0:
-            children[v] = (Vertex(v.x - 1, v.t - 1),)
-        elif o == 1:
-            children[v] = (Vertex(v.x + 1, v.t - 1),)
-        else:
-            children[v] = (Vertex(v.x - 1, v.t - 1), Vertex(v.x + 1, v.t - 1))
-        stack.extend(children[v])
-
-    pending_parents: dict[Vertex, int] = {}
-    for v, kids in children.items():
-        for c in kids:
-            pending_parents[c] = pending_parents.get(c, 0) + 1
-
+        if v not in children:
+            offsets = _CHILD_OFFSETS[outcomes[v]] if v.t > 0 else ()
+            children[v] = tuple(Vertex(v.x + d, v.t - 1) for d in offsets)
+            stack.extend(children[v])
+    pending = Counter(c for kids in children.values() for c in kids)
     roots = set(pts)
-    lam = params.lam.as_array()
-    p_bulk = params.p.as_array()
-    branch = params.g.branch_tensor()  # [left, right, new]; diagonal = copy
+    lam, p_bulk = params.lam.as_array(), params.p.as_array()
+    copy, branch = np.eye(q), params.g.branch_tensor()  # [left, right, new]
 
     law = np.ones(())
     dims: list[Vertex] = []
-
-    def add_axis(arr: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        return np.multiply.outer(arr, vec)
-
     for v in sorted(children, key=lambda u: (u.t, u.x)):
         kids = children[v]
-        if len(dims) + 1 > len(_LETTERS):
-            raise StateSpaceError("frontier too wide for the einsum DP")
-        if not kids:
-            vec = lam if v.t == 0 else p_bulk
-            law = add_axis(law, vec)
-            dims.append(v)
-        elif len(kids) == 1:
-            # deterministic copy: duplicate the child's axis
-            ci = dims.index(kids[0])
-            letter = {u: _LETTERS[i] for i, u in enumerate(dims)}
-            nl = _LETTERS[len(dims)]
-            eye = np.eye(q)
-            sub = "".join(letter[u] for u in dims) + "," + letter[kids[0]] + nl
-            law = np.einsum(sub + "->" + "".join(letter[u] for u in dims) + nl, law, eye)
-            dims.append(v)
-        else:
-            letter = {u: _LETTERS[i] for i, u in enumerate(dims)}
-            nl = _LETTERS[len(dims)]
-            sub = (
-                "".join(letter[u] for u in dims)
-                + ","
-                + letter[kids[0]]
-                + letter[kids[1]]
-                + nl
-            )
-            law = np.einsum(
-                sub + "->" + "".join(letter[u] for u in dims) + nl, law, branch, optimize=True
-            )
-            dims.append(v)
-        # retire children that no longer feed anything and are not roots
-        for c in set(kids):
-            pending_parents[c] -= 1
-        retire = [
-            u
-            for u in set(kids)
-            if pending_parents.get(u, 0) == 0 and u not in roots and u in dims
-        ]
-        if retire:
-            letter = {u: _LETTERS[i] for i, u in enumerate(dims)}
-            keep = [u for u in dims if u not in retire]
-            law = np.einsum(
-                "".join(letter[u] for u in dims) + "->" + "".join(letter[u] for u in keep), law
-            )
-            dims = keep
+        n = len(dims)
+        if q ** (n + 1) > _MAX_STATES:
+            raise StateSpaceError(f"frontier of {n + 1} colors exceeds the state cap {_MAX_STATES}")
+        kernel = (lam if v.t == 0 else p_bulk, copy, branch)[len(kids)]
+        axes = list(range(n))
+        law = np.einsum(law, axes, kernel, [dims.index(c) for c in kids] + [n], axes + [n])
+        dims.append(v)
+        pending.subtract(kids)
+        keep = [i for i, u in enumerate(dims) if not (u in kids and pending[u] == 0 and u not in roots)]
+        if len(keep) < len(dims):
+            law = np.einsum(law, list(range(len(dims))), keep)
+            dims = [dims[i] for i in keep]
 
     return _queries_law(law, dims, pts, q).probs
 
@@ -563,8 +506,6 @@ def _q3_asym(b: float, kappa: float, style: str = "A") -> VmpParams:
 def oracle_settings() -> list[dict]:
     """Enumerable instances for the exact forward-vs-dual equality check:
     q in {2,3}, t <= 2, at most two query points."""
-    import math
-
     settings = [
         {"name": "potts-q2-ln2-t2", "params": potts_params(math.log(2.0), 2), "points": [(1, 2)]},
         {"name": "potts-q3-ln2-t2", "params": potts_params(math.log(2.0), 3), "points": [(1, 2)]},
@@ -601,8 +542,6 @@ def gate_settings() -> list[dict]:
     settings carry symmetric tables on which transposition is a no-op;
     they are the tolerated non-failures of the power gate.
     """
-    import math
-
     adj_t1 = [(0, 1), (2, 1)]
     adj_t2 = [(-1, 2), (1, 2)]
     mix_t12 = [(0, 1), (1, 2)]

@@ -185,6 +185,15 @@ def _families_separate(net, z: Vertex, horizon: int) -> bool:
 #: Cap on each level's lattice budget in the experiments below:
 #: x-extent/eps columns times t-extent/eps^2 rows.
 _BUDGET_CAP = 600_000
+#: Fewest trials each experiment accepts: the interface experiment's
+#: standard errors use ``ddof=1``.
+_MARGINAL_MIN_TRIALS = 1
+_INTERFACE_MIN_TRIALS = 2
+
+
+def _check_trials(trials: int, least: int, name: str = "trials") -> None:
+    if trials < least:
+        raise InvalidParameterError(f"{name} must be at least {least}, got {trials}")
 
 
 def _bootstrap_tvd_ci(counts_a: np.ndarray, counts_b: np.ndarray, seed: int) -> tuple[float, float]:
@@ -251,8 +260,7 @@ def marginal_convergence_experiment(
     The per-level budget (box columns x box rows, growing like eps^-3 for a
     unit box) is guarded.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be at least 1, got {trials}")
+    _check_trials(trials, _MARGINAL_MIN_TRIALS)
     q = schedule.q
     k = len(points)
     x_extent = max(p[0] for p in points) - min(p[0] for p in points) + 1.0
@@ -305,8 +313,7 @@ def interface_experiment(
     (x-extent/eps) * (t-extent/eps^2), is guarded.  The standard errors
     need ``trials >= 2``.
     """
-    if trials < 2:
-        raise InvalidParameterError(f"trials must be at least 2, got {trials}")
+    _check_trials(trials, _INTERFACE_MIN_TRIALS)
 
     def slice_sites(n):
         eps = schedule.eps_levels[n]
@@ -364,6 +371,8 @@ def coarsening_gate(
     Not a reproduction of any continuum value; a Cauchy-style stability
     diagnostic only.
     """
+    _check_trials(trials_interface, _INTERFACE_MIN_TRIALS, "trials_interface")
+    _check_trials(trials_marginal, _MARGINAL_MIN_TRIALS, "trials_marginal")
     lam = ColorDistribution(3, (0.5, 0.3, 0.2))
     schedule = potts_style_schedule(3, (3, 4, 5, 6), lam=lam)
     interface = interface_experiment(

@@ -26,6 +26,7 @@ from .duality import (
     GATE_NEED,
     GOF_ALPHA,
     GOF_TRIALS,
+    _q2_asym,
     _q3_asym,
     exact_dual_law,
     exact_forward_law,
@@ -159,17 +160,20 @@ _BK_GRID = [(0.1, 0.0), (0.1, 0.1), (0.25, 0.05), (0.25, 0.15), (0.4, 0.0), (0.4
 
 
 @functools.cache
-def _fuzz_coloring_inputs(q: int):
-    """(g, lam, p) for a fuzzed dag: uniform noises at q = 2, the
-    asymmetric q = 3 table and noises at q = 3."""
-    if q == 2:
+def _fuzz_coloring_inputs(case: int):
+    """(g, lam, p) of coloring case 0..3: q = 2 in even cases and q = 3 in
+    odd ones; uniform noises in cases 0-1, an asymmetric table and noises
+    in cases 2-3."""
+    q = 2 + case % 2
+    if case < 2:
         return uniform_boundary_table(q), uniform_colors(q), uniform_colors(q)
-    params = _q3_asym(0.3, 0.1)
+    params = _q2_asym(0.3, 0.1) if q == 2 else _q3_asym(0.3, 0.1)
     return params.g, params.lam, params.p
 
 
-def fuzz_dag(index: int, seed: int) -> tuple[RootedDag, int]:
-    """Deterministic fuzzed genealogy of depth 2..8: dag index -> (dag, q)."""
+def fuzz_dag(index: int, seed: int) -> tuple[RootedDag, tuple]:
+    """Deterministic fuzzed genealogy of depth 2..8 with its coloring
+    inputs: dag index -> (dag, (g, lam, p)), cycling the four cases."""
     rng = random.Random(derive_seed(seed, "fuzz-dag", index))
     b, kappa = _BK_GRID[index % len(_BK_GRID)]
     t = rng.randint(2, 8)
@@ -177,7 +181,7 @@ def fuzz_dag(index: int, seed: int) -> tuple[RootedDag, int]:
     net = KeyedNet(b, kappa, derive_seed(seed, "fuzz-net", index), w, direction=BACKWARD)
     rx = 0 if t % 2 == 1 else 1
     dag = build_dag(net, Vertex(rx, t))
-    return dag, (2 if index % 2 == 0 else 3)
+    return dag, _fuzz_coloring_inputs(index % 4)
 
 
 def _reduction_chunk(bounds, seed):
@@ -186,8 +190,7 @@ def _reduction_chunk(bounds, seed):
     small_checked = 0
     oracle_mismatches = 0
     for i in range(lo, hi):
-        dag, q = fuzz_dag(i, seed)
-        g, lam, p = _fuzz_coloring_inputs(q)
+        dag, (g, lam, p) = fuzz_dag(i, seed)
         red = reduce_dag(dag)
         full_colors = color_dag(dag, g, lam, p)
         red_colors = color_dag(red, g, lam, p)
@@ -244,8 +247,7 @@ def random_topological_order(dag: RootedDag, rng: random.Random) -> list:
 def gate_order_independence(n_dags: int, n_pairs: int, seed: int) -> dict:
     order_mismatches = 0
     for i in range(n_dags):
-        dag, q = fuzz_dag(i, derive_seed(seed, "order"))
-        g, lam, p = _fuzz_coloring_inputs(q)
+        dag, (g, lam, p) = fuzz_dag(i, derive_seed(seed, "order"))
         ref = color_dag(dag, g, lam, p)
         rng = random.Random(derive_seed(seed, "order-shuffle", i))
         for _ in range(10):
@@ -270,7 +272,7 @@ def gate_order_independence(n_dags: int, n_pairs: int, seed: int) -> dict:
             continue
         z_inner = inner_candidates[rng.randrange(len(inner_candidates))]
         inner = build_dag(net, z_inner)
-        g, lam, p = _fuzz_coloring_inputs(2 if i % 2 == 0 else 3)
+        g, lam, p = _fuzz_coloring_inputs(i % 4)
         if color_dag(outer, g, lam, p)[z_inner] != color_dag(inner, g, lam, p)[z_inner]:
             consistency_mismatches += 1
         checked += 1

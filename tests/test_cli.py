@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vmpnet import scaling
 from vmpnet.cli import main, parse_model
 from vmpnet.coloring import MAX_COLORS
 from vmpnet.dualgraph import dag_from_json
@@ -121,6 +122,8 @@ def test_bad_model_config_is_config_error(tmp_path, capsys):
         json.dumps({**missing_g21, "g": full_g, "lam": 5}),
         json.dumps({**missing_g21, "g": full_g, "b": math.nan}),
         json.dumps({**potts, "beta": math.inf}),
+        # the model is read from the top level only
+        json.dumps({"model_config": {**potts, "beta": 1.0}, "seed": 1, "x_lo": -4, "x_hi": 4, "steps": 1}),
         b"\xff\xfe",
     ):
         cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -258,6 +261,18 @@ def test_bad_integer_config_field_is_config_error(tmp_path, capsys, argv, cfg):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "run"
     assert run_cli(*argv, "--config", path, "--out", out) == 2
+    assert_one_line_error(capsys, out)
+
+
+def test_coarsening_checks_both_trial_floors_before_any_experiment(tmp_path, capsys, monkeypatch):
+    def no_interface(*args, **kwargs):
+        raise AssertionError("the interface experiment ran before the marginal floor was checked")
+
+    monkeypatch.setattr(scaling, "interface_experiment", no_interface)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"trials_marginal": 0, "seed": 1}))
+    out = tmp_path / "run"
+    assert run_cli("scaling-experiment", "--preset", "coarsening", "--config", path, "--out", out) == 2
     assert_one_line_error(capsys, out)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from vmpnet.duality import (
     gate_settings,
     oracle_settings,
     pooled_two_sample_chisquare,
+    _q2_asym,
     _q3_asym,
 )
 from vmpnet.errors import InvalidParameterError, ParityError, StateSpaceError, WindowError
@@ -114,6 +116,78 @@ def test_dual_oracle_config_cap():
     params = potts_params(1.0, 3)
     with pytest.raises(StateSpaceError):
         exact_dual_law(params, [(1, 4)])  # 4^10 configurations, past the 300k cap
+    q2 = (uniform_boundary_table(2), uniform_colors(2), uniform_colors(2))
+    with pytest.raises(StateSpaceError):
+        # one configuration (every vertex killed), but a 2^53-state law
+        exact_dual_law(VmpParams(2, 0.0, 0.0, 1.0, *q2), [(2 * i, 1) for i in range(53)])
+    with pytest.raises(StateSpaceError):
+        # one configuration (every vertex branches): 2^17 query states fit,
+        # but the 18 leaves under them make a 2^18-state frontier
+        exact_dual_law(VmpParams(2, 0.0, 1.0, 0.0, *q2), [(2 * i, 1) for i in range(17)])
+
+
+#: SHA-256 of each oracle's ``probs.tobytes()``: forward, then dual (None
+#: where the dual cone is past its configuration cap), recorded when each
+#: oracle built its einsum subscripts from a letter alphabet.
+_LAW_DIGESTS = {
+    "potts-q2-ln2-t2": ("606e5166986dd9f186277d16e3d18bae3887a944a829487b59fd8672bbb20251",
+                        "606e5166986dd9f186277d16e3d18bae3887a944a829487b59fd8672bbb20251"),
+    "potts-q3-ln2-t2": ("ab5d3ff1118f719ee016c1422fcbb65eeaa08f19e62a86167ee12cdfe0fe32ad",
+                        "dc6407e4a1b6bb1abcb3620f652aa6d26eb8a246f270d0c50513a4b24b75caa5"),
+    "potts-q2-ln2-k2": ("1c2adaaf3d013dbb1d89c4e1f55bc686da8512bffba659a08aa86d48b2479acb",
+                        "cf7b7a83f9664f23723830f8f88c00e63b40ae87f6c14555700e767098cd7542"),
+    "potts-q3-b1.5-t1": ("6fef4dc74dfd6a38e984846126b31cf3d90892f2ea10d532e985b29ff270106d",
+                         "ab5d3ff1118f719ee016c1422fcbb65eeaa08f19e62a86167ee12cdfe0fe32ad"),
+    "q2-asym-t1": ("6d7b1018900623b0ef18552655c26a85bd902100de4b552e60705e70ee9b9d71",
+                   "41c3534495fdb191b068b73a1be10b35c54451225a24d5ca4bea2265651425bb"),
+    "q2-asym-t2": ("0a173f00366ff6d2b25bc59e905e7d1a5ca42c9e624e667b9e5314ecf78b8c8c",
+                   "5afd982e3d9792ae81f1b51c058af9f5dea5cf8fbaf67e5ed7d5e30812f8ab63"),
+    "q2-asym-k2-t2": ("2719a185989f51637c1ef2a2e509b049cd325ebd9a000b82a3dccb61d92ca000",
+                      "f04b8abb422c837607aee18d651784e85d972ea83f73b50b78db055076b1aafb"),
+    "q2-nokill-t2": ("0c325b2ee2249ed7d5fa2451e6805ef1e53a501d84f0c80dde18ee3c91a96d9e",
+                     "3bd31f52b2ab5b38e9d31d16cb57c0d7c81c80360fe9106b70e2ecad58010f2d"),
+    "q3-asym-t1": ("f2375912a27eff9361d4159a684533f2b4e0a5799555b19a8b9bcc534b356e04",
+                   "c6e12c7b167c1aee27a40e95555b0ec29b6a897c1efb5228d591ac172fd5bb9a"),
+    "q3-asym-t2": ("cac39f59b591b70cc18d49387208fbdd20e6ac52cb3a830fae36eab62e438ee5",
+                   "11812b1d11b675ceff60c8873b934d21dd2f079a6b36ca07fc1fa32b340d2f70"),
+    "q3-asym-k2-t1": ("e59ae0f883f3ffb6c8afd0548b2007f99e34755ce59a8cce0e70812013dad276",
+                      "81f6cc3c5073f06204e76d3021c1e296fe63754a893286af1a2c17e7c3fc0b5b"),
+    "q3-asym-k2-t2": ("13b52057f6c37c27f3a3c9da737a39992e9efe429dda284e687acf47fa3d4983",
+                      "99d00658e9ad23449279c12f93bdffdbd2c2efcb35f7af9d7397614038074f3f"),
+    "q2-heavykill-t2": ("f9e54ab063bacbf2e896b82975c0814eda21561193157de2aee83483f5a36b7c",
+                        "c87517c105ca131ac1310cc8e2e6eb30d667851b7ee70b18ffdf54541e81d2be"),
+    "q3-nowalk-mix-t2": ("0ede866aed21f0dc7f91be2f8c1b926d2eb395f5b1fb3f2bbad2fcdab04098e8",
+                         "780830739c7f19248e4e52967a247c8e7c760887b6dc66ccff1f0591af68a403"),
+    "dup-point": ("2faf07e023bdb85fc4462637133da366cebb88edec5eba733cb7d71f599f4f1e",
+                  "742b161308a3b7f072f7eeb6c65f5293f03621f779bf441a86c862a10ecd85ff"),
+    "mixed-times": ("989fec7805e6a63d2d62d0cfa37bd06890573f59926f157b9a8aec6a84a34c74",
+                    "222debeb808c5088d639ec43b68106727b4d0acf67ab6713a26ce7f950ea1566"),
+    "three-one-dup": ("70f08606ccb2aca4f1a1b49c96541d260db1f0a4106501a88be9150e5f394175",
+                      "3581787fc03499fff007901b575bf804d0c9ed7412d2d5a3b776f198d8057d45"),
+    "t3": ("892fa48d81b49f68b7b97a66d559b04d6dec3342095596e9b8656a572f55d2c7",
+           "44d3690c35cf0bf9e09d5be5c298a55b7933bfd20c3d8158aa41cfdd041e6142"),
+    "four-t6": ("40448dc4b1344c079613bc741713975fc3c2e1bb1eed07fd378a923f801288ba", None),
+}
+
+
+def test_exact_oracle_laws_golden():
+    # the laws themselves, not only their TVD: a rewrite of either oracle
+    # must give the same bytes on every instance
+    instances = oracle_settings() + [
+        {"name": "dup-point", "params": potts_params(1.0, 2), "points": [(1, 2), (1, 2)]},
+        {"name": "mixed-times", "params": _q3_asym(0.3, 0.1, "B"), "points": [(0, 1), (1, 2)]},
+        {"name": "three-one-dup", "params": _q3_asym(0.25, 0.1, "C"), "points": [(-1, 2), (1, 2), (-1, 2)]},
+        {"name": "t3", "params": _q2_asym(0.3, 0.1), "points": [(0, 3)]},
+        {"name": "four-t6", "params": _q3_asym(0.3, 0.1), "points": [(-3, 6), (-1, 6), (1, 6), (3, 6)]},
+    ]
+    assert sorted(st["name"] for st in instances) == sorted(_LAW_DIGESTS)
+    for st in instances:
+        want_f, want_d = _LAW_DIGESTS[st["name"]]
+        law = exact_forward_law(st["params"], st["points"])
+        assert hashlib.sha256(law.probs.tobytes()).hexdigest() == want_f, st["name"]
+        if want_d is not None:
+            law = exact_dual_law(st["params"], st["points"])
+            assert hashlib.sha256(law.probs.tobytes()).hexdigest() == want_d, st["name"]
 
 
 def test_joint_law_validation():
