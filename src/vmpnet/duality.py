@@ -33,12 +33,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
+from scipy.special import chdtrc
 
 from .coloring import ColorDistribution, boundary_table_from, color_dag
 from .dualgraph import build_dag
 from .errors import InvalidParameterError, ParityError, StateSpaceError, WindowError
-from .lattice_net import BACKWARD, ArrowOutcome, KeyedNet, Vertex, Window, arrow_outcomes, is_odd_vertex
+from .lattice_net import BACKWARD, BOTH_CODE, LEFT_CODE, RIGHT_CODE, KeyedNet, Vertex, Window, arrow_outcomes
+from .lattice_net import is_odd_vertex
 from .models import VmpParams, _invcdf_rows, forward_batch, potts_params, simple_vmp, site_colors
 from .models import transition_distribution
 from .rng import derive_seed, derive_seed_array, vertex_uniform_grid
@@ -90,14 +91,24 @@ class JointColorLaw:
 # Dual sampling
 # ---------------------------------------------------------------------------
 
+def _merge_runs(*runs: np.ndarray) -> np.ndarray:
+    """``np.unique`` of the concatenated sorted runs: one stable sort merges
+    the runs, then adjacent duplicates are dropped."""
+    keys = np.sort(np.concatenate(runs), kind="stable")
+    keep = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def dual_colors_genealogy(params: VmpParams, seeds, points, window: Window | None = None) -> np.ndarray:
     """Root colors of the genealogies of ``points``, one shared field per
     seed: an array of shape ``np.shape(seeds) + (k,)``.
 
     All trials advance together, one time level at a time.  Down from the
-    latest query time, each needed vertex is a sorted (trial, x) key that
-    adds the children its arrow outcome names; only these keys are kept.
-    Up from t = 0, each level is colored from the one below by
+    latest query time, each needed vertex is a sorted (trial, x) key whose
+    uniform is drawn and classified once; a level keeps its keys, outcome
+    codes and branch/kill uniforms (every uniform at t = 0).  Up from t = 0,
+    drawing nothing, each level is colored from the one below by
     ``models.site_colors``, the forward chain's rule, so a draw equals the
     forward run of its seed.  Raises WindowError exactly where
     ``dual_colors_graph`` does: when the window does not reach t = 0, holds
@@ -112,41 +123,40 @@ def dual_colors_genealogy(params: VmpParams, seeds, points, window: Window | Non
     # so x +- 1 never reaches into the next trial's keys
     span = win.x_max - win.x_min + 3
 
-    def uniforms(keys, t):
-        trial, col = np.divmod(keys, span)
-        return vertex_uniform_grid(flat[trial], col + (win.x_min - 1), np.int64(t))
-
-    def query_keys(v):
-        return np.arange(flat.size, dtype=np.int64) * span + (v.x - win.x_min + 1)
-
-    t_max = max(v.t for v in pts)
-    levels = []  # sorted keys per time, t_max first
+    trial_base = np.arange(flat.size, dtype=np.int64) * span
+    query_keys = [trial_base + (v.x - win.x_min + 1) for v in pts]
+    query_times = {v.t for v in pts}
+    t_max = max(query_times)
+    levels = []  # (keys, outcome codes, kept uniforms) per time, t_max first
     keys = np.empty(0, dtype=np.int64)
     for t in range(t_max, -1, -1):
-        keys = np.unique(np.concatenate([keys] + [query_keys(v) for v in pts if v.t == t]))
-        col = keys % span
+        if t in query_times:
+            keys = _merge_runs(keys, *(qk for v, qk in zip(pts, query_keys) if v.t == t))
+        trial, col = np.divmod(keys, span)
         if np.any((col == 0) | (col == span - 1)):
             raise WindowError(f"genealogy escaped window {win} at t={t}; widen the window")
-        levels.append(keys)
-        if t > 0:
-            outcome = arrow_outcomes(uniforms(keys, t), params.w, params.kappa)
-            goes_left = (outcome == ArrowOutcome.LEFT_ONLY) | (outcome == ArrowOutcome.BOTH)
-            goes_right = (outcome == ArrowOutcome.RIGHT_ONLY) | (outcome == ArrowOutcome.BOTH)
-            keys = np.concatenate([keys[goes_left] - 1, keys[goes_right] + 1])
+        u = vertex_uniform_grid(flat[trial], col + (win.x_min - 1), np.int64(t))
+        if t == 0:
+            levels.append((keys, None, u))
+            break
+        outcome = arrow_outcomes(u, params.w, params.kappa)
+        levels.append((keys, outcome, u[outcome >= BOTH_CODE]))
+        goes_left = (outcome == LEFT_CODE) | (outcome == BOTH_CODE)
+        goes_right = (outcome == RIGHT_CODE) | (outcome == BOTH_CODE)
+        keys = _merge_runs(keys[goes_left] - 1, keys[goes_right] + 1)
 
     out = np.zeros((flat.size, len(pts)), dtype=np.uint8)
     for t in range(t_max + 1):
-        keys = levels.pop()
-        u = uniforms(keys, t)
+        keys, outcome, u = levels.pop()
         if t == 0:
             colors = _invcdf_rows(u, np.asarray(params.lam.cum))
         else:  # a child the vertex does not read looks up an arbitrary color
             padded = np.append(colors, np.uint8(1))
             left, right = (padded[np.searchsorted(below, keys + d)] for d in (-1, 1))
-            colors = site_colors(params, u, left, right)
-        for j, v in enumerate(pts):
+            colors = site_colors(params, outcome, u, left, right)
+        for j, (v, qk) in enumerate(zip(pts, query_keys)):
             if v.t == t:
-                out[:, j] = colors[np.searchsorted(keys, query_keys(v))]
+                out[:, j] = colors[np.searchsorted(keys, qk)]
         below = keys
     return out.reshape(np.shape(seeds) + (len(pts),))
 
@@ -198,14 +208,14 @@ _MAX_STATES = 250_000
 _MAX_CONFIGS = 300_000
 
 
-def _queries_law(law: np.ndarray, dims: list[Vertex], pts: list[Vertex], q: int) -> JointColorLaw:
+def _queries_law(law: np.ndarray, dims: list[Vertex], pts: list[Vertex], q: int) -> np.ndarray:
     """Marginal joint law over the query tuple; duplicate query points map
     to the same axis (diagonal expansion)."""
     axis_of = {v: i for i, v in enumerate(dims)}
     out = np.zeros((q,) * len(pts))
     for idx in np.ndindex(law.shape):
         out[tuple(idx[axis_of[v]] for v in pts)] += law[idx]
-    return JointColorLaw(q, out)
+    return out
 
 
 def exact_forward_law(params: VmpParams, points) -> JointColorLaw:
@@ -269,7 +279,7 @@ def exact_forward_law(params: VmpParams, points) -> JointColorLaw:
         dims = out_dims
         recorded |= {v for v in new_dims if v in query_verts}
 
-    return _queries_law(law, dims, pts, q)
+    return JointColorLaw(q, _queries_law(law, dims, pts, q))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +369,7 @@ def _dag_union_law(params: VmpParams, pts: list[Vertex], outcomes: dict[Vertex, 
             law = np.einsum(law, list(range(len(dims))), keep)
             dims = [dims[i] for i in keep]
 
-    return _queries_law(law, dims, pts, q).probs
+    return _queries_law(law, dims, pts, q)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +407,7 @@ def pooled_two_sample_chisquare(counts1: np.ndarray, counts2: np.ndarray) -> tup
         e2 = tot * n2 / (n1 + n2)
         stat += (a - e1) ** 2 / e1 + (b_ - e2) ** 2 / e2
     dof = len(cells) - 1
-    return stat, dof, float(_chi2.sf(stat, dof)), len(cells)
+    return stat, dof, float(chdtrc(dof, stat)), len(cells)
 
 
 def _encode_tuples(samples: np.ndarray, q: int) -> np.ndarray:

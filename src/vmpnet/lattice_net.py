@@ -43,6 +43,9 @@ class ArrowOutcome(IntEnum):
     NONE = 3
 
 
+#: ``ArrowOutcome`` as the uint8 codes the vector kernels use.
+LEFT_CODE, RIGHT_CODE, BOTH_CODE, NONE_CODE = (np.uint8(o) for o in ArrowOutcome)
+
 _OUTCOME_CHARS = "LRBN"
 _CHAR_TO_OUTCOME = {c: ArrowOutcome(i) for i, c in enumerate(_OUTCOME_CHARS)}
 
@@ -100,9 +103,8 @@ def arrow_outcomes(u, w: float, kappa: float) -> np.ndarray:
     then B on [w, 1-kappa), R on [w/2, w) and L below.  This is the forward
     chain's precedence; it matters only where w rounds above 1 - b - kappa."""
     u = np.asarray(u)
-    walk = np.where(u < 0.5 * w, ArrowOutcome.LEFT_ONLY, ArrowOutcome.RIGHT_ONLY)
-    out = np.where(u < w, walk, ArrowOutcome.BOTH)
-    return np.where(u < 1.0 - kappa, out, ArrowOutcome.NONE).astype(np.uint8)
+    walk = np.where(u < 0.5 * w, LEFT_CODE, RIGHT_CODE)
+    return np.where(u < 1.0 - kappa, np.where(u < w, walk, BOTH_CODE), NONE_CODE)
 
 
 class KeyedNet:

@@ -8,9 +8,10 @@ from the bulk distribution p (kill).  One uniform per space-time vertex
 drives both the move choice and the color choice through a nested inverse
 CDF in move-major order [walk-left | walk-right | branch | kill]; the move
 thresholds are the net's arrow outcomes (``lattice_net.arrow_outcomes``),
-and the dual sampler colors its genealogy with the same ``site_colors``,
-so a forward run and the dual genealogy built from the same seed produce
-identical colors.
+which ``site_colors`` takes as codes.  The dual sampler classifies each
+genealogy vertex once on its way down and colors it with the same
+``site_colors`` on its way up, drawing nothing there, so a forward run and
+the dual genealogy built from the same seed produce identical colors.
 
 The module also carries exact algebra for three families: the q-color
 stochastic Potts chain (with detailed-balance verification of its rates),
@@ -33,7 +34,7 @@ from .coloring import (
     uniform_colors,
 )
 from .errors import InvalidParameterError, WindowError
-from .lattice_net import ArrowOutcome, arrow_outcomes
+from .lattice_net import BOTH_CODE, LEFT_CODE, NONE_CODE, arrow_outcomes
 from .rng import BELOW_ONE, vertex_uniform_grid
 
 _SUM_TOL = 1e-12
@@ -175,29 +176,31 @@ def _forward_rows(params: VmpParams, seeds: np.ndarray, xs: np.ndarray, colors, 
     for t in range(1, steps + 1):
         xs = xs[:-1] + 1
         u = vertex_uniform_grid(seeds[:, None], xs[None, :], np.int64(t))
-        colors = site_colors(params, u, colors[:, :-1], colors[:, 1:])
+        outcome = arrow_outcomes(u, params.w, params.kappa)
+        colors = site_colors(params, outcome, u[outcome >= BOTH_CODE], colors[:, :-1], colors[:, 1:])
         yield t, xs, colors
 
 
-def site_colors(params: VmpParams, u: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """New colors of sites with uniforms u and neighbor colors left, right:
-    copy a neighbor on a walk, draw from g[left, right] on a branch and from
-    p on a kill with the rescaled rest of u.  A neighbor color the site's
-    outcome does not read may be any of 1..q."""
+def site_colors(params: VmpParams, outcome, u, left, right) -> np.ndarray:
+    """New colors of sites with outcome codes ``outcome`` and neighbor colors
+    left, right: copy a neighbor on a walk, draw from g[left, right] on a
+    branch and from p on a kill with the rescaled rest of the site's uniform;
+    ``u`` holds the branch and kill sites' uniforms only, in C order.  A
+    neighbor color the site's outcome does not read may be any of 1..q."""
     w, b, kappa = params.w, params.b, params.kappa
-    outcome = arrow_outcomes(u, w, kappa)
-    new = np.where(outcome == ArrowOutcome.LEFT_ONLY, left, right).astype(np.uint8)
-    if b > 0:
-        mask = outcome == ArrowOutcome.BOTH
-        if mask.any():
-            ub = np.minimum((u - w) / b, BELOW_ONE)
-            cum = params.g.cum_array()[left.astype(np.intp) - 1, right.astype(np.intp) - 1]
-            new = np.where(mask, _invcdf_rows(ub, cum), new)
-    if kappa > 0:
-        mask = outcome == ArrowOutcome.NONE
-        if mask.any():
-            uk = np.minimum((u - (1.0 - kappa)) / kappa, BELOW_ONE)
-            new = np.where(mask, _invcdf_rows(uk, np.asarray(params.p.cum)), new)
+    new = np.where(outcome == LEFT_CODE, left, right).astype(np.uint8)
+    if u.size:
+        drawn = outcome >= BOTH_CODE
+        kill = outcome[drawn] == NONE_CODE
+        colors, branch = new[drawn], ~kill
+        if b > 0 and branch.any():
+            ub = np.minimum((u[branch] - w) / b, BELOW_ONE)
+            cells = left[drawn][branch].astype(np.intp) - 1, right[drawn][branch].astype(np.intp) - 1
+            colors[branch] = _invcdf_rows(ub, params.g.cum_array()[cells])
+        if kappa > 0 and kill.any():
+            uk = np.minimum((u[kill] - (1.0 - kappa)) / kappa, BELOW_ONE)
+            colors[kill] = _invcdf_rows(uk, np.asarray(params.p.cum))
+        new[drawn] = colors
     return new
 
 

@@ -2,6 +2,8 @@ import copy
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,13 @@ def assert_one_line_error(capsys, out):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # the chi-square gate's p-value uses scipy.special.chdtrc; scipy.stats
+    # would add about a second to every command's start-up
+    code = "import sys, vmpnet.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_potts_params_prints_values(capsys):

@@ -19,6 +19,7 @@ from vmpnet.duality import (
     gate_settings,
     oracle_settings,
     pooled_two_sample_chisquare,
+    _merge_runs,
     _q2_asym,
     _q3_asym,
 )
@@ -287,6 +288,49 @@ def test_genealogy_edge_cases_equal_forward(points):
         assert tuple(int(c) for c in dual[s]) == dual_colors_graph(params, s, points, win)
 
 
+@pytest.mark.parametrize(
+    "params, points",
+    [
+        (_q3_asym(1.0, 0.0, "A"), [(0, 3), (2, 3), (1, 2)]),  # b = 1: the frontier fills the cone
+        (_q2_asym(0.6, 0.4), [(0, 3), (2, 3), (1, 4)]),  # b + kappa = 1: no walks
+    ],
+    ids=["all-branch", "branch-kill"],
+)
+def test_genealogy_corner_rates_equal_forward_and_graph(params, points):
+    assert params.w == 0.0
+    win = cone_window(points)
+    seeds = np.arange(300, dtype=np.uint64)
+    dual = dual_colors_genealogy(params, seeds, points, win)
+    assert np.array_equal(dual, forward_batch(params, seeds, win.x_min, win.x_max, points))
+    for s in range(0, 300, 30):
+        assert tuple(int(c) for c in dual[s]) == dual_colors_graph(params, s, points, win)
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        [[], []],
+        [[3, 5, 9]],
+        [[], [2, 4]],
+        [[1, 4, 7], [1, 4, 7]],  # runs that coincide
+        [[0, 2, 4], [1, 2, 3, 4, 5]],
+        [[6, 8], [0, 1], [1, 8, 9]],  # a level's keys and two query runs
+    ],
+)
+def test_merge_runs_equals_unique(runs):
+    arrays = [np.array(r, dtype=np.int64) for r in runs]
+    merged = _merge_runs(*arrays)
+    assert merged.dtype == np.int64
+    assert np.array_equal(merged, np.unique(np.concatenate(arrays)))
+
+
+def test_merge_runs_equals_unique_on_random_runs():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        runs = [np.unique(rng.integers(0, 40, size=rng.integers(0, 30))) for _ in range(rng.integers(1, 4))]
+        assert np.array_equal(_merge_runs(*runs), np.unique(np.concatenate(runs)))
+
+
 def test_kappa_one_kills_every_frontier():
     p = ColorDistribution(3, (0.1, 0.6, 0.3))
     params = VmpParams(3, 0.0, 0.0, 1.0, uniform_boundary_table(3), p, uniform_colors(3))
@@ -360,6 +404,24 @@ def test_pooling_rule():
     assert cells == 3  # two rare cells pooled into one bucket
     assert dof == 2
     assert 0.0 <= p <= 1.0
+
+
+def test_pooled_pvalue_equals_chi2_sf():
+    from scipy.special import chdtrc
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(11)
+    dofs = set()
+    for cells in range(2, 80):
+        c1 = rng.integers(10, 400, size=cells)
+        c2 = rng.poisson(c1 * rng.uniform(0.8, 1.25))
+        stat, dof, p, _ = pooled_two_sample_chisquare(c1, c2)
+        dofs.add(dof)
+        assert p == float(chi2.sf(stat, dof))
+    assert len(dofs) > 50
+    for dof in range(1, 200):
+        for stat in (0.0, 0.5 * dof, dof, 3.0 * dof, 1e6):
+            assert chdtrc(dof, stat) == chi2.sf(stat, dof)
 
 
 def test_pooling_degenerate_single_cell():

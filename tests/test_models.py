@@ -7,6 +7,7 @@ import pytest
 from vmpnet.coloring import point_mass, uniform_boundary_table, uniform_colors
 from vmpnet.duality import _q3_asym
 from vmpnet.errors import InvalidParameterError, WindowError
+from vmpnet.lattice_net import BOTH_CODE, arrow_outcomes
 from vmpnet.models import (
     GeneralVmpSpec,
     VmpParams,
@@ -355,7 +356,9 @@ def test_one_step_disagreeing_neighbors_law():
     n = 10 ** 5
     # site (0, 1) of seeds 0..n-1 in one call, drawn as simulate draws it
     left, right = np.full(n, 1, dtype=np.uint8), np.full(n, 2, dtype=np.uint8)
-    out = site_colors(params, vertex_uniform_grid(np.arange(n, dtype=np.uint64), 0, 1), left, right)
+    u = vertex_uniform_grid(np.arange(n, dtype=np.uint64), 0, 1)
+    outcome = arrow_outcomes(u, params.w, params.kappa)
+    out = site_colors(params, outcome, u[outcome >= BOTH_CODE], left, right)
     row = {-1: 1, 1: 2}
     assert out[:1000].tolist() == [dict(simulate(params, -1, 1, 1, s, initial=row).slices)[1][0] for s in range(1000)]
     counts = np.bincount(out, minlength=4)[1:]
