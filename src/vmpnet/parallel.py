@@ -7,7 +7,6 @@ identity, so output is byte-identical for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -17,5 +16,6 @@ R = TypeVar("R")
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

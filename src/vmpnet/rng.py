@@ -18,6 +18,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _X_LANE = 0xC2B2AE3D27D4EB4F
 _T_LANE = 0xD6E8FEB86659FD93
 _INV_2_53 = 2.0 ** -53
+_X_LANE_U, _T_LANE_U, _MIX_1, _MIX_2 = map(np.uint64, (_X_LANE, _T_LANE, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_S11, _S27, _S30, _S31 = map(np.uint64, (11, 27, 30, 31))
 
 #: Largest double strictly below 1.0; used to clamp rescaled uniforms.
 BELOW_ONE = math.nextafter(1.0, 0.0)
@@ -81,19 +83,21 @@ def vertex_uniform_grid(seed, xs, ts) -> np.ndarray:
     ``seed`` may be a scalar or an array (e.g. one seed per trial row).
     Bit-identical to the scalar version.
     """
-    s = _as_u64(seed)
-    xu = _as_u64(xs)
-    tu = _as_u64(ts)
-    with np.errstate(over="ignore"):
-        h = _mix64_vec(s ^ (xu * np.uint64(_X_LANE)))
-        h = _mix64_vec(h ^ (tu * np.uint64(_T_LANE)))
-    return (h >> np.uint64(11)) * _INV_2_53
+    s, xu, tu = _as_u64(seed), _as_u64(xs), _as_u64(ts)
+    # one buffer of the full shape (``ts`` may be widest); a 0-d one, unlike a scalar, updates in place
+    h = np.multiply(xu, _X_LANE_U, out=np.empty(np.broadcast(s, xu, tu).shape, np.uint64))
+    for lane in (s, tu * _T_LANE_U):
+        h ^= lane
+        _mix64_vec(h)
+    return np.right_shift(h, _S11, out=h) * _INV_2_53
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer over a uint64 array, in place; returns ``z``."""
+    for shift, mul in ((_S30, _MIX_1), (_S27, _MIX_2)):
+        z ^= z >> shift
+        z *= mul
+    return np.bitwise_xor(z, z >> _S31, out=z)
 
 
 def rescale_uniform(u: float, lo: float, width: float) -> float:
@@ -109,5 +113,4 @@ def derive_seed_array(master: int, lo: int, hi: int, *tokens: int | str) -> np.n
     index), so chunked and whole-range evaluation agree element-wise."""
     base = np.uint64(derive_seed(master, *tokens))
     idx = np.arange(lo, hi, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix64_vec(base ^ ((idx + np.uint64(1)) * np.uint64(_GOLDEN)))
+    return _mix64_vec(base ^ ((idx + np.uint64(1)) * np.uint64(_GOLDEN)))

@@ -33,11 +33,28 @@ def assert_one_line_error(capsys, out):
     assert not out.exists()
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # the chi-square gate's p-value uses scipy.special.chdtrc; scipy.stats
-    # would add about a second to every command's start-up
-    code = "import sys, vmpnet.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+def test_cli_import_leaves_out_scipy_and_process_pool():
+    # scipy.special (0.2 s) loads where a p-value is computed and the process
+    # pool (multiprocessing) where workers > 1; scipy.stats never loads
+    lazy = ["scipy.special", "scipy.stats", "concurrent.futures.process"]
+    code = "import sys, vmpnet.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code, *lazy], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == ""
+
+
+def test_check_duality_p_values_in_fresh_process(tmp_path):
+    # the first p-value of the process imports scipy.special
+    code = (
+        "import sys, vmpnet.cli; assert 'scipy.special' not in sys.modules; "
+        "sys.exit(vmpnet.cli.main(sys.argv[1:]))"
+    )
+    argv = ["check-duality", "--trials", "10000", "--seed", "2", "--out", str(tmp_path / "cd")]
+    assert subprocess.run([sys.executable, "-c", code, *argv], capture_output=True).returncode == 0
+    from scipy.special import chdtrc
+
+    reports = [json.loads(line) for line in (tmp_path / "cd" / "reports.jsonl").read_text().splitlines()]
+    assert len(reports) == 20
+    assert all(r["p_value"] == chdtrc(r["dof"], r["statistic"]) and 0.0 < r["p_value"] <= 1.0 for r in reports)
 
 
 def test_potts_params_prints_values(capsys):

@@ -21,6 +21,22 @@ def test_scalar_vector_identical():
         assert grid[i, j] == vertex_uniform(987654321, int(x), int(t))
 
 
+def test_grid_broadcasts_like_scalar():
+    # 0-d inputs, ``ts`` wider than ``seed ^ xs``, negative x and a large t
+    # all go through the grid's in-place mixing
+    assert vertex_uniform_grid(np.uint64(7), np.int64(-3), np.int64(2**40)) == vertex_uniform(7, -3, 2**40)
+    seeds = np.array([11, 2**63 + 5], dtype=np.uint64)
+    ts = np.array([0, 1, 2**40], dtype=np.int64)
+    grid = vertex_uniform_grid(seeds[:, None, None], np.int64(-5), ts[None, None, :])
+    assert grid.shape == (2, 1, 3)
+    for (i, s), (j, t) in itertools.product(enumerate(seeds), enumerate(ts)):
+        assert grid[i, 0, j] == vertex_uniform(int(s), -5, int(t))
+    wide = vertex_uniform_grid(3, np.array([-2, 4]), ts[:, None])
+    assert wide.shape == (3, 2)
+    for (j, t), (i, x) in itertools.product(enumerate(ts), enumerate((-2, 4))):
+        assert wide[j, i] == vertex_uniform(3, x, int(t))
+
+
 def test_uniform_range_and_mean():
     xs = np.arange(0, 4000, dtype=np.int64)
     u = vertex_uniform_grid(5, xs, np.int64(7))
