@@ -451,6 +451,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,10 +17,11 @@ Beyond the parameter container, the two computations share only
 ``_queries_law``, the last step that reads the query tuple's law off the
 final joint law.  Their dynamic programs are separate, so their agreement
 to 1e-10 is a genuine check of the duality, not of a single
-implementation.  The one Monte-Carlo dual sampler,
-``dual_colors_genealogy``, runs a batch of trials level by level with the
-forward chain's site rule; ``dual_colors_graph`` builds each DAG and is its
-reference.  ``duality_gof_test`` adds a two-sample chi-square gate between
+implementation.  The one Monte-Carlo dual sampler, ``dual_colors_sweep``,
+runs the trials of several query groups (each its own parameters, seeds,
+points and window, all one q) level by level in one down/up sweep with the
+forward chain's site rule; ``dual_colors_genealogy`` is its one-group call,
+and ``dual_colors_graph`` builds each DAG and is its reference.  ``duality_gof_test`` adds a two-sample chi-square gate between
 large forward and dual samples drawn from disjoint seed streams.
 """
 
@@ -37,11 +38,11 @@ import numpy as np
 from .coloring import ColorDistribution, boundary_table_from, color_dag
 from .dualgraph import build_dag
 from .errors import InvalidParameterError, ParityError, StateSpaceError, WindowError
-from .lattice_net import BACKWARD, BOTH_CODE, LEFT_CODE, RIGHT_CODE, KeyedNet, Vertex, Window, arrow_outcomes
+from .lattice_net import BACKWARD, BOTH_CODE, KeyedNet, Vertex, Window, arrow_outcomes
 from .lattice_net import is_odd_vertex
-from .models import VmpParams, _invcdf_rows, forward_batch, potts_params, simple_vmp, site_colors
+from .models import SiteRule, VmpParams, _invcdf_rows, forward_batch, potts_params, simple_vmp, site_colors
 from .models import transition_distribution
-from .rng import derive_seed, derive_seed_array, vertex_uniform_grid
+from .rng import _as_u64, derive_seed, derive_seed_array, vertex_uniform_grid
 
 
 def as_query_points(points) -> list[Vertex]:
@@ -93,71 +94,125 @@ class JointColorLaw:
 def _merge_runs(*runs: np.ndarray) -> np.ndarray:
     """``np.unique`` of the concatenated sorted runs: one stable sort merges
     the runs, then adjacent duplicates are dropped."""
-    keys = np.sort(np.concatenate(runs), kind="stable")
+    return _drop_repeats(np.sort(np.concatenate(runs), kind="stable"))
+
+
+def _drop_repeats(keys: np.ndarray) -> np.ndarray:
+    """A sorted array without its adjacent duplicates."""
     keep = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return keys[keep]
 
 
+#: Per outcome code (L, R, Both, None), whether the vertex reads its child at
+#: x - 1 and at x + 1.
+_READS = np.array([[True, False], [False, True], [True, True], [False, False]])
+
+
 def dual_colors_genealogy(params: VmpParams, seeds, points, window: Window | None = None) -> np.ndarray:
     """Root colors of the genealogies of ``points``, one shared field per
-    seed: an array of shape ``np.shape(seeds) + (k,)``.
+    seed: an array of shape ``np.shape(seeds) + (k,)``.  The one-group
+    call of ``dual_colors_sweep``.
 
-    All trials advance together, one time level at a time.  Down from the
-    latest query time, each needed vertex is a sorted (trial, x) key whose
-    uniform is drawn and classified once; a level keeps its keys, outcome
-    codes and branch/kill uniforms (every uniform at t = 0).  Up from t = 0,
-    drawing nothing, each level is colored from the one below by
-    ``models.site_colors``, the forward chain's rule, so a draw equals the
-    forward run of its seed.  Raises WindowError exactly where
-    ``dual_colors_graph`` does: when the window does not reach t = 0, holds
-    not every query point, or a genealogy leaves its x range.
+    Raises WindowError exactly where ``dual_colors_graph`` does: when the
+    window does not reach t = 0, holds not every query point, or a
+    genealogy leaves its x range.
     """
-    pts = as_query_points(points)
-    win = window if window is not None else cone_window(pts)
-    if win.t_min > 0 or any(not win.contains(v.x, v.t) for v in pts):
-        raise WindowError(f"window {win} does not hold the query points {pts} down to t = 0")
-    flat = np.asarray(seeds).reshape(-1)
-    # a child of a vertex in the window has x - x_min + 1 in [0, span - 1],
-    # so x +- 1 never reaches into the next trial's keys
-    span = win.x_max - win.x_min + 3
+    return dual_colors_sweep([(params, seeds, points, window)])[0]
 
-    trial_base = np.arange(flat.size, dtype=np.int64) * span
-    query_keys = [trial_base + (v.x - win.x_min + 1) for v in pts]
-    query_times = {v.t for v in pts}
-    t_max = max(query_times)
-    levels = []  # (keys, outcome codes, kept uniforms) per time, t_max first
-    keys = np.empty(0, dtype=np.int64)
+
+#: Largest key that int32 holds; wider key spaces use int64.
+_INT32_KEYS = np.iinfo(np.int32).max
+
+
+def dual_colors_sweep(groups) -> list[np.ndarray]:
+    """Root colors of several query groups ``(params, seeds, points,
+    window)`` that share q, in one down/up sweep of ``max t`` levels:
+    group i's colors are ``out[i]``, as ``dual_colors_genealogy`` returns
+    them for that group alone, byte for byte.
+
+    All trials of all groups advance together, one time level at a time.
+    Down from the latest query time, each needed vertex is a sorted
+    (trial, x) key whose uniform is drawn and classified once with its
+    group's w and kappa; a level keeps its keys, outcome codes, and the
+    branch/kill uniforms with their groups (every uniform at t = 0).  Up
+    from t = 0, drawing nothing, each level is colored from the one below by
+    ``models.site_colors``, the forward chain's rule, so a draw equals the
+    forward run of its seed.  A group whose genealogy leaves its own window
+    raises WindowError, whatever the other groups' windows.
+    """
+    rule = SiteRule.of([params for params, *_ in groups])
+    pts_of, wins, flats, shapes = [], [], [], []
+    for params, seeds, points, window in groups:
+        pts = as_query_points(points)
+        win = window if window is not None else cone_window(pts)
+        if win.t_min > 0 or any(not win.contains(v.x, v.t) for v in pts):
+            raise WindowError(f"window {win} does not hold the query points {pts} down to t = 0")
+        pts_of.append(pts)
+        wins.append(win)
+        flats.append(_as_u64(seeds).reshape(-1))
+        shapes.append(np.shape(seeds) + (len(pts),))
+    sizes = [flat.size for flat in flats]
+    seed_of = np.concatenate(flats)
+    # a vertex in its window has x - x_min + 1 in [1, width + 1] and a child
+    # in [0, width + 2], so x +- 1 never reaches into the next trial's keys
+    widths = [win.x_max - win.x_min for win in wins]
+    span = max(widths) + 3
+    key_dtype = np.int32 if seed_of.size * span <= _INT32_KEYS else np.int64
+    # each trial's group; each group's x at column 0 and its window's x_max column
+    group_of = np.repeat(np.arange(len(groups), dtype=np.intp), sizes)
+    x_at_col0 = np.array([win.x_min - 1 for win in wins])
+    last_col = np.array([width + 1 for width in widths])
+
+    # per query time, each group's query columns and their keys (trials, columns)
+    queries: dict[int, list] = {}
+    starts = np.cumsum([0] + sizes)
+    for i, (pts, win) in enumerate(zip(pts_of, wins)):
+        trial_base = np.arange(starts[i], starts[i + 1], dtype=key_dtype) * span
+        for t in sorted({v.t for v in pts}):
+            cols = [j for j, v in enumerate(pts) if v.t == t]
+            offsets = np.array([pts[j].x - win.x_min + 1 for j in cols], dtype=key_dtype)
+            queries.setdefault(t, []).append((i, cols, trial_base[:, None] + offsets))
+    t_max = max(queries)
+    levels = []  # (keys, outcome codes, kept uniforms, their groups) per time, t_max first
+    keys = np.empty(0, dtype=key_dtype)
     for t in range(t_max, -1, -1):
-        if t in query_times:
-            keys = _merge_runs(keys, *(qk for v, qk in zip(pts, query_keys) if v.t == t))
-        trial, col = np.divmod(keys, span)
-        if np.any((col == 0) | (col == span - 1)):
+        if t in queries:
+            keys = _merge_runs(keys, *(qk.ravel() for *_, qk in queries[t]))
+        trial, col = np.divmod(keys, span)  # int32 indices: ``take`` is the fast gather
+        group = group_of.take(trial)
+        escaped = (col == 0) | (col > last_col.take(group))
+        if escaped.any():
+            win = wins[group[escaped.argmax()]]
             raise WindowError(f"genealogy escaped window {win} at t={t}; widen the window")
-        u = vertex_uniform_grid(flat[trial], col + (win.x_min - 1), np.int64(t))
+        u = vertex_uniform_grid(seed_of.take(trial), col + x_at_col0.take(group), np.int64(t))
         if t == 0:
-            levels.append((keys, None, u))
+            levels.append((keys, None, u, group))
             break
-        outcome = arrow_outcomes(u, params.w, params.kappa)
-        levels.append((keys, outcome, u[outcome >= BOTH_CODE]))
-        goes_left = (outcome == LEFT_CODE) | (outcome == BOTH_CODE)
-        goes_right = (outcome == RIGHT_CODE) | (outcome == BOTH_CODE)
-        keys = _merge_runs(keys[goes_left] - 1, keys[goes_right] + 1)
+        outcome = arrow_outcomes(u, rule.w.take(group), rule.kappa.take(group))
+        drawn = outcome >= BOTH_CODE
+        levels.append((keys, outcome, u[drawn], group[drawn]))
+        # each key's two would-be children, x - 1 then x + 1, kept where read:
+        # a trial's keys lie two or more apart and inside its window, so the
+        # kept ones are in key order and only a shared child repeats
+        both = np.empty((keys.size, 2), dtype=key_dtype)
+        np.subtract(keys, 1, out=both[:, 0])
+        np.add(keys, 1, out=both[:, 1])
+        keys = _drop_repeats(np.compress(_READS.take(outcome, axis=0).ravel(), both))
 
-    out = np.zeros((flat.size, len(pts)), dtype=np.uint8)
+    out = [np.zeros((size, len(pts)), dtype=np.uint8) for size, pts in zip(sizes, pts_of)]
     for t in range(t_max + 1):
-        keys, outcome, u = levels.pop()
+        keys, outcome, u, group = levels.pop()
         if t == 0:
-            colors = _invcdf_rows(u, np.asarray(params.lam.cum))
+            colors = _invcdf_rows(u, rule.lam_cum.take(group, axis=0))
         else:  # a child the vertex does not read looks up an arbitrary color
             padded = np.append(colors, np.uint8(1))
             left, right = (padded[np.searchsorted(below, keys + d)] for d in (-1, 1))
-            colors = site_colors(params, outcome, u, left, right)
-        for j, (v, qk) in enumerate(zip(pts, query_keys)):
-            if v.t == t:
-                out[:, j] = colors[np.searchsorted(keys, qk)]
+            colors = site_colors(rule, outcome, u, left, right, group)
+        for i, cols, qk in queries.get(t, ()):
+            out[i][:, cols] = colors[np.searchsorted(keys, qk)]
         below = keys
-    return out.reshape(np.shape(seeds) + (len(pts),))
+    return [colors_of.reshape(shape) for colors_of, shape in zip(out, shapes)]
 
 
 def dual_colors_graph(params: VmpParams, seed: int, points, window: Window | None = None) -> tuple[int, ...]:

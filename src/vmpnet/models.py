@@ -12,6 +12,8 @@ which ``site_colors`` takes as codes.  The dual sampler classifies each
 genealogy vertex once on its way down and colors it with the same
 ``site_colors`` on its way up, drawing nothing there, so a forward run and
 the dual genealogy built from the same seed produce identical colors.
+``SiteRule`` stacks the rule's numbers for several parameter groups, so one
+``site_colors`` call colors the sites of every group in a dual sweep.
 
 The module also carries exact algebra for three families: the q-color
 stochastic Potts chain (with detailed-balance verification of its rates),
@@ -173,34 +175,76 @@ def _forward_rows(params: VmpParams, seeds: np.ndarray, xs: np.ndarray, colors, 
         u = vertex_uniform_grid(seeds[:, None], xs[None, :], np.int64(0))
         colors = _invcdf_rows(u, np.asarray(params.lam.cum))
     yield 0, xs, colors
+    rule = SiteRule.of([params])
     for t in range(1, steps + 1):
         xs = xs[:-1] + 1
         u = vertex_uniform_grid(seeds[:, None], xs[None, :], np.int64(t))
         outcome = arrow_outcomes(u, params.w, params.kappa)
-        colors = site_colors(params, outcome, u[outcome >= BOTH_CODE], colors[:, :-1], colors[:, 1:])
+        colors = site_colors(rule, outcome, u[outcome >= BOTH_CODE], colors[:, :-1], colors[:, 1:])
         yield t, xs, colors
 
 
-def site_colors(params: VmpParams, outcome, u, left, right) -> np.ndarray:
+@dataclass(frozen=True)
+class SiteRule:
+    """The site rule's numbers for one or more parameter groups, stacked on a
+    leading group axis so that one array operation serves sites of every
+    group: ``w``, ``b``, ``kappa`` of shape (G,), the cumulative boundary
+    table ``g_cum`` of shape (G, q + 1, q + 1, q) indexed by 1-based
+    neighbor colors, and the cumulative ``p_cum`` and ``lam_cum``, (G, q).
+
+    A group with b = 0 can still see a branch outcome where w rounds below
+    1 - kappa; there ``b`` holds 1 and ``g_cum`` the point mass on the right
+    neighbor, so such a site copies its right neighbor like a walk to the
+    right, as the chain has always done, and nothing divides by zero.
+    """
+
+    w: np.ndarray
+    b: np.ndarray
+    kappa: np.ndarray
+    g_cum: np.ndarray
+    p_cum: np.ndarray
+    lam_cum: np.ndarray
+
+    @classmethod
+    def of(cls, groups: list[VmpParams]) -> "SiteRule":
+        q = groups[0].q
+        if any(params.q != q for params in groups):
+            raise InvalidParameterError(f"parameter groups mix q = {sorted({params.q for params in groups})}")
+        g_cum = np.zeros((len(groups), q + 1, q + 1, q))
+        for i, params in enumerate(groups):
+            g_cum[i, 1:, 1:] = params.g.cum_array() if params.b > 0 else np.eye(q).cumsum(axis=1)
+        return cls(
+            np.array([params.w for params in groups]),
+            np.array([params.b if params.b > 0 else 1.0 for params in groups]),
+            np.array([params.kappa for params in groups]),
+            g_cum,
+            np.array([params.p.cum for params in groups]),
+            np.array([params.lam.cum for params in groups]),
+        )
+
+
+def site_colors(rule: SiteRule, outcome, u, left, right, group=0) -> np.ndarray:
     """New colors of sites with outcome codes ``outcome`` and neighbor colors
-    left, right: copy a neighbor on a walk, draw from g[left, right] on a
-    branch and from p on a kill with the rescaled rest of the site's uniform;
-    ``u`` holds the branch and kill sites' uniforms only, in C order.  A
-    neighbor color the site's outcome does not read may be any of 1..q."""
-    w, b, kappa = params.w, params.b, params.kappa
-    new = np.where(outcome == LEFT_CODE, left, right).astype(np.uint8)
+    left, right (uint8): copy a neighbor on a walk, draw from g[left, right]
+    on a branch and from p on a kill with the rescaled rest of the site's
+    uniform.  ``u`` holds the branch and kill sites' uniforms only, in C
+    order, and ``group`` their groups' indices into ``rule`` (one int when
+    every site has the same group).  A neighbor color the site's outcome
+    does not read may be any of 1..q."""
+    new = np.where(outcome == LEFT_CODE, left, right)
     if u.size:
-        drawn = outcome >= BOTH_CODE
-        kill = outcome[drawn] == NONE_CODE
-        colors, branch = new[drawn], ~kill
-        if b > 0 and branch.any():
-            ub = np.minimum((u[branch] - w) / b, BELOW_ONE)
-            cells = left[drawn][branch].astype(np.intp) - 1, right[drawn][branch].astype(np.intp) - 1
-            colors[branch] = _invcdf_rows(ub, params.g.cum_array()[cells])
-        if kappa > 0 and kill.any():
-            uk = np.minimum((u[kill] - (1.0 - kappa)) / kappa, BELOW_ONE)
-            colors[kill] = _invcdf_rows(uk, np.asarray(params.p.cum))
-        new[drawn] = colors
+        at_branch, at_kill = outcome == BOTH_CODE, outcome == NONE_CODE
+        kill = at_kill[outcome >= BOTH_CODE]  # the same sites, among the drawn ones
+        branch = ~kill
+        per_site = np.ndim(group) > 0
+        if at_branch.any():
+            gb = group[branch] if per_site else group
+            ub = np.minimum((u[branch] - rule.w[gb]) / rule.b[gb], BELOW_ONE)
+            new[at_branch] = _invcdf_rows(ub, rule.g_cum[gb, left[at_branch], right[at_branch]])
+        if at_kill.any():
+            gk = group[kill] if per_site else group
+            uk = np.minimum((u[kill] - (1.0 - rule.kappa[gk])) / rule.kappa[gk], BELOW_ONE)
+            new[at_kill] = _invcdf_rows(uk, rule.p_cum[gk])
     return new
 
 

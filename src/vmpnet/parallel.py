@@ -17,5 +17,6 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> 
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool forks all max_workers processes on its first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))

@@ -5,12 +5,15 @@ b_n / eps_n and kappa_n / eps_n^2 exactly equal to the continuum branching
 and killing parameters.  Continuum color laws have no closed form, so
 convergence is probed as a Cauchy property: consecutive-level estimates
 must stop moving beyond Monte Carlo noise.  Colors at scale come from the
-batched dual sampler ``dual_colors_genealogy``, one call per chunk of
-trials: it visits only the genealogy of the query points, level by level,
-and is bit-identical to a forward run with the same seed.
+batched dual sampler ``dual_colors_sweep``, which visits only the genealogy
+of the query points, level by level, and is bit-identical to a forward run
+with the same seed.
 
 The cross-level experiments share one level driver, ``_run_levels``; each
-is its query vertices, its budget formula and a chunk reducer.
+is its query vertices, its budget formula and a chunk reducer.  One job is
+one chunk of trials of every experiment it is given at every level, so a
+job is one sweep of the deepest level's time steps: ``coarsening_gate``
+runs both of its experiments in the same jobs.
 """
 
 from __future__ import annotations
@@ -18,14 +21,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .coloring import ColorDistribution, uniform_boundary_table, uniform_colors
-from .duality import (
+from .duality import (  # perfbench's tracer also patches dual_colors_genealogy here
     JointColorLaw,
     _encode_tuples,
     dual_colors_genealogy,
+    dual_colors_sweep,
     pooled_two_sample_chisquare,
 )
 from .errors import BudgetError, InvalidParameterError, WindowError
@@ -210,40 +215,117 @@ def _bootstrap_tvd_ci(counts_a: np.ndarray, counts_b: np.ndarray, seed: int) -> 
     return float(np.quantile(tvds, alpha)), float(np.quantile(tvds, 1.0 - alpha))
 
 
-def _marginal_chunk(job, levels, seed, q, k):
-    n, c0, c1 = job
-    lv = levels[n]
-    colors = dual_colors_genealogy(lv["params"], derive_seed_array(seed, c0, c1, "marginal", n), lv["snapped"])
+def _marginal_chunk(job, colors, levels, q, k):
     return np.bincount(_encode_tuples(colors, q), minlength=q ** k)
 
 
-def _interface_chunk(job, levels, seed):
-    n, c0, c1 = job
-    lv = levels[n]
-    rows = dual_colors_genealogy(lv["params"], derive_seed_array(seed, c0, c1, "interface", n), lv["snapped"])
-    xs = [v.x for v in lv["snapped"]]
+def _interface_chunk(job, rows, levels):
+    xs = [v.x for v in levels[job[0]]["snapped"]]
     return [len(interface_census(dict(zip(xs, row.tolist())), xs[0], xs[-1])) for row in rows]
 
 
-def _run_levels(schedule, snap_level, budget, chunk, job_trials, trials, workers) -> list[list]:
-    """Each level's ``chunk`` results in trial order.
+@dataclass(frozen=True)
+class _Experiment:
+    """One cross-level experiment for ``_run_levels``: level n queries the
+    vertices ``snap_level(n)``, must have ``budget(eps_n)`` within the cap
+    and reduces each job's colors with ``chunk``; trial i of level n draws
+    the seed of index i in the stream ``(seed, stream, n)``."""
 
-    Level n queries the vertices ``snap_level(n)`` and must have
-    ``budget(eps_n)`` within the cap; snapping comes first, so a bad point
-    is a parameter error at any budget.  Trials run in jobs of
-    ``job_trials``, each ``chunk(job, levels=...)`` with job (n, c0, c1).
+    snap_level: Callable[[int], list[Vertex]]
+    budget: Callable[[float], float]
+    chunk: Callable
+    job_trials: int
+    trials: int
+    seed: int
+    stream: str
+
+
+def _levels_job(j, plans):
+    """Job j: chunk j of every experiment at every level, in one genealogy
+    sweep; per experiment, each level's ``chunk`` result (None past its last chunk)."""
+    groups, owners = [], []
+    for e, (chunk, levels, seed, stream, bounds) in enumerate(plans):
+        if j < len(bounds):
+            c0, c1 = bounds[j]
+            for n, lv in enumerate(levels):
+                groups.append((lv["params"], derive_seed_array(seed, c0, c1, stream, n), lv["snapped"], None))
+                owners.append((e, n, c0, c1))
+    out = [[None] * len(levels) for _, levels, *_ in plans]
+    for (e, n, c0, c1), colors in zip(owners, dual_colors_sweep(groups)):
+        chunk, levels = plans[e][:2]
+        out[e][n] = chunk((n, c0, c1), colors, levels=levels)
+    return out
+
+
+def _run_levels(schedule, experiments: list[_Experiment], workers) -> list[list[list]]:
+    """Per experiment, each level's ``chunk`` results in trial order.
+
+    Snapping and the budget check come first for every level, so a bad
+    point is a parameter error at any budget.  Job j holds trials
+    [j * job_trials, (j + 1) * job_trials) of each experiment at every
+    level, one ``dual_colors_sweep`` for all of them, and calls
+    ``chunk((n, c0, c1), colors, levels=...)`` per experiment and level.
     """
-    levels = []
-    for n, eps in enumerate(schedule.eps_levels):
-        snapped = snap_level(n)
-        cost = budget(eps)
-        if cost > _BUDGET_CAP:
-            raise BudgetError(f"level {n}: budget {cost:.3g} exceeds cap {_BUDGET_CAP}")
-        levels.append({"params": schedule.level_params(n), "snapped": snapped, "t_n": max(v.t for v in snapped)})
-    starts = range(0, trials, job_trials)
-    jobs = [(n, c0, min(c0 + job_trials, trials)) for n in range(len(levels)) for c0 in starts]
-    results = parallel_map(functools.partial(chunk, levels=levels), jobs, workers)
-    return [results[n * len(starts):(n + 1) * len(starts)] for n in range(len(levels))]
+    plans = []
+    for exp in experiments:
+        levels = []
+        for n, eps in enumerate(schedule.eps_levels):
+            snapped = exp.snap_level(n)
+            cost = exp.budget(eps)
+            if cost > _BUDGET_CAP:
+                raise BudgetError(f"level {n}: budget {cost:.3g} exceeds cap {_BUDGET_CAP}")
+            levels.append({"params": schedule.level_params(n), "snapped": snapped, "t_n": max(v.t for v in snapped)})
+        bounds = [(c0, min(c0 + exp.job_trials, exp.trials)) for c0 in range(0, exp.trials, exp.job_trials)]
+        plans.append((exp.chunk, levels, exp.seed, exp.stream, bounds))
+    jobs = range(max(len(bounds) for *_, bounds in plans))
+    results = parallel_map(functools.partial(_levels_job, plans=plans), jobs, workers)
+    return [
+        [[res[e][n] for res in results[: len(bounds)]] for n in range(len(levels))]
+        for e, (_, levels, _, _, bounds) in enumerate(plans)
+    ]
+
+
+def _marginal(schedule: ScalingSchedule, points, trials: int, seed: int):
+    """The marginal experiment as an ``_Experiment`` and the function that
+    turns its level results into the report."""
+    _check_trials(trials, _MARGINAL_MIN_TRIALS)
+    q = schedule.q
+    k = len(points)
+    x_extent = max(p[0] for p in points) - min(p[0] for p in points) + 1.0
+    t_extent = max(p[1] for p in points)
+    exp = _Experiment(
+        lambda n: [snap(pt, schedule.eps_levels[n]) for pt in points],
+        lambda eps: (x_extent / eps) * max(t_extent / (eps * eps), 1.0),
+        functools.partial(_marginal_chunk, q=q, k=k),
+        500,
+        trials,
+        seed,
+        "marginal",
+    )
+
+    def report(chunks) -> dict:
+        per_level_counts = [sum(c) for c in chunks]
+        laws = [JointColorLaw(q, (c / trials).reshape((q,) * k)) for c in per_level_counts]
+        tvds = []
+        for n in range(schedule.n_levels - 1):
+            ca, cb = per_level_counts[n], per_level_counts[n + 1]
+            t_obs = 0.5 * float(np.abs(ca / trials - cb / trials).sum())
+            lo, hi = _bootstrap_tvd_ci(ca, cb, derive_seed(seed, "bootstrap", n))
+            tvds.append({"levels": (n, n + 1), "tvd": t_obs, "ci_low": lo, "ci_high": hi})
+
+        non_increasing = all(
+            tvds[i + 1]["ci_low"] <= tvds[i]["ci_high"] for i in range(len(tvds) - 1)
+        )
+        return {
+            "eps_levels": list(schedule.eps_levels),
+            "trials": trials,
+            "counts": [c.tolist() for c in per_level_counts],
+            "laws": [l_.probs.tolist() for l_ in laws],
+            "tvds": tvds,
+            "tvd_non_increasing_within_ci": bool(non_increasing),
+        }
+
+    return exp, report
 
 
 def marginal_convergence_experiment(
@@ -260,41 +342,59 @@ def marginal_convergence_experiment(
     The per-level budget (box columns x box rows, growing like eps^-3 for a
     unit box) is guarded.
     """
-    _check_trials(trials, _MARGINAL_MIN_TRIALS)
-    q = schedule.q
-    k = len(points)
-    x_extent = max(p[0] for p in points) - min(p[0] for p in points) + 1.0
-    t_extent = max(p[1] for p in points)
-    chunks = _run_levels(
-        schedule,
-        lambda n: [snap(pt, schedule.eps_levels[n]) for pt in points],
-        lambda eps: (x_extent / eps) * max(t_extent / (eps * eps), 1.0),
-        functools.partial(_marginal_chunk, seed=seed, q=q, k=k),
-        500,
+    exp, report = _marginal(schedule, points, trials, seed)
+    return report(_run_levels(schedule, [exp], workers)[0])
+
+
+def _interface(schedule: ScalingSchedule, box: tuple[float, float], t_rescaled: float, trials: int, seed: int):
+    """The interface experiment as an ``_Experiment`` and the function that
+    turns its level results into the report."""
+    _check_trials(trials, _INTERFACE_MIN_TRIALS)
+
+    def slice_sites(n):
+        eps = schedule.eps_levels[n]
+        t_n = max(1, math.ceil(t_rescaled / (eps * eps) - 0.5))
+        xs = range(math.ceil(box[0] / eps), math.floor(box[1] / eps) + 1)
+        sites = [Vertex(x, t_n) for x in xs if (x + t_n) % 2 == 1]
+        if len(sites) < 2:
+            raise InvalidParameterError(f"level {n}: box holds {len(sites)} sites, need >= 2")
+        return sites
+
+    exp = _Experiment(
+        slice_sites,
+        lambda eps: ((box[1] - box[0]) / eps) * (t_rescaled / (eps * eps)),
+        _interface_chunk,
+        50,
         trials,
-        workers,
+        seed,
+        "interface",
     )
-    per_level_counts = [sum(c) for c in chunks]
 
-    laws = [JointColorLaw(q, (c / trials).reshape((q,) * k)) for c in per_level_counts]
-    tvds = []
-    for n in range(schedule.n_levels - 1):
-        ca, cb = per_level_counts[n], per_level_counts[n + 1]
-        t_obs = 0.5 * float(np.abs(ca / trials - cb / trials).sum())
-        lo, hi = _bootstrap_tvd_ci(ca, cb, derive_seed(seed, "bootstrap", n))
-        tvds.append({"levels": (n, n + 1), "tvd": t_obs, "ci_low": lo, "ci_high": hi})
+    def report(chunks) -> dict:
+        per_level = [[c for chunk in level for c in chunk] for level in chunks]
+        max_count = max(max(c) for c in per_level) + 1
+        hists = [np.bincount(c, minlength=max_count) for c in per_level]
+        stat, dof, p_value, cells = pooled_two_sample_chisquare(hists[-2], hists[-1])
+        means = [float(np.mean(c)) for c in per_level]
+        sems = [float(np.std(c, ddof=1) / math.sqrt(len(c))) for c in per_level]
+        return {
+            "eps_levels": list(schedule.eps_levels),
+            "t_rescaled": t_rescaled,
+            "trials": trials,
+            "mean_counts": means,
+            "sem_counts": sems,
+            "histograms": [h.tolist() for h in hists],
+            "finest_pair_chisquare": {
+                "statistic": stat,
+                "dof": dof,
+                "p_value": p_value,
+                "cells": cells,
+                "alpha": 0.01,
+                "pass": bool(p_value >= 0.01),
+            },
+        }
 
-    non_increasing = all(
-        tvds[i + 1]["ci_low"] <= tvds[i]["ci_high"] for i in range(len(tvds) - 1)
-    )
-    return {
-        "eps_levels": list(schedule.eps_levels),
-        "trials": trials,
-        "counts": [c.tolist() for c in per_level_counts],
-        "laws": [l_.probs.tolist() for l_ in laws],
-        "tvds": tvds,
-        "tvd_non_increasing_within_ci": bool(non_increasing),
-    }
+    return exp, report
 
 
 def interface_experiment(
@@ -313,49 +413,8 @@ def interface_experiment(
     (x-extent/eps) * (t-extent/eps^2), is guarded.  The standard errors
     need ``trials >= 2``.
     """
-    _check_trials(trials, _INTERFACE_MIN_TRIALS)
-
-    def slice_sites(n):
-        eps = schedule.eps_levels[n]
-        t_n = max(1, math.ceil(t_rescaled / (eps * eps) - 0.5))
-        xs = range(math.ceil(box[0] / eps), math.floor(box[1] / eps) + 1)
-        sites = [Vertex(x, t_n) for x in xs if (x + t_n) % 2 == 1]
-        if len(sites) < 2:
-            raise InvalidParameterError(f"level {n}: box holds {len(sites)} sites, need >= 2")
-        return sites
-
-    chunks = _run_levels(
-        schedule,
-        slice_sites,
-        lambda eps: ((box[1] - box[0]) / eps) * (t_rescaled / (eps * eps)),
-        functools.partial(_interface_chunk, seed=seed),
-        50,
-        trials,
-        workers,
-    )
-    per_level = [[c for chunk in level for c in chunk] for level in chunks]
-
-    max_count = max(max(c) for c in per_level) + 1
-    hists = [np.bincount(c, minlength=max_count) for c in per_level]
-    stat, dof, p_value, cells = pooled_two_sample_chisquare(hists[-2], hists[-1])
-    means = [float(np.mean(c)) for c in per_level]
-    sems = [float(np.std(c, ddof=1) / math.sqrt(len(c))) for c in per_level]
-    return {
-        "eps_levels": list(schedule.eps_levels),
-        "t_rescaled": t_rescaled,
-        "trials": trials,
-        "mean_counts": means,
-        "sem_counts": sems,
-        "histograms": [h.tolist() for h in hists],
-        "finest_pair_chisquare": {
-            "statistic": stat,
-            "dof": dof,
-            "p_value": p_value,
-            "cells": cells,
-            "alpha": 0.01,
-            "pass": bool(p_value >= 0.01),
-        },
-    }
+    exp, report = _interface(schedule, box, t_rescaled, trials, seed)
+    return report(_run_levels(schedule, [exp], workers)[0])
 
 
 def coarsening_gate(
@@ -375,12 +434,10 @@ def coarsening_gate(
     _check_trials(trials_marginal, _MARGINAL_MIN_TRIALS, "trials_marginal")
     lam = ColorDistribution(3, (0.5, 0.3, 0.2))
     schedule = potts_style_schedule(3, (3, 4, 5, 6), lam=lam)
-    interface = interface_experiment(
-        schedule, (0.0, 1.0), 0.5, trials_interface, derive_seed(seed, "iface"), workers
-    )
-    marginal = marginal_convergence_experiment(
-        schedule, [(0.5, 0.5)], trials_marginal, derive_seed(seed, "marg"), workers
-    )
+    iface_exp, iface_report = _interface(schedule, (0.0, 1.0), 0.5, trials_interface, derive_seed(seed, "iface"))
+    marg_exp, marg_report = _marginal(schedule, [(0.5, 0.5)], trials_marginal, derive_seed(seed, "marg"))
+    iface_chunks, marg_chunks = _run_levels(schedule, [iface_exp, marg_exp], workers)
+    interface, marginal = iface_report(iface_chunks), marg_report(marg_chunks)
     return {
         "interface": interface,
         "marginal": marginal,

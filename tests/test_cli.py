@@ -291,14 +291,30 @@ def test_bad_integer_config_field_is_config_error(tmp_path, capsys, argv, cfg):
 
 
 def test_coarsening_checks_both_trial_floors_before_any_experiment(tmp_path, capsys, monkeypatch):
-    def no_interface(*args, **kwargs):
-        raise AssertionError("the interface experiment ran before the marginal floor was checked")
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("an experiment ran before the marginal floor was checked")
 
-    monkeypatch.setattr(scaling, "interface_experiment", no_interface)
+    monkeypatch.setattr(scaling, "_run_levels", no_experiment)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"trials_marginal": 0, "seed": 1}))
     out = tmp_path / "run"
     assert run_cli("scaling-experiment", "--preset", "coarsening", "--config", path, "--out", out) == 2
+    assert_one_line_error(capsys, out)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-all", "--seed", "1"),
+        ("check-duality", "--trials", "10000", "--seed", "1"),
+        ("scaling-experiment", "--preset", "coarsening", "--seed", "1"),
+    ],
+    ids=["verify-all", "check-duality", "scaling-experiment"],
+)
+def test_workers_below_one_is_config_error(tmp_path, capsys, argv, workers):
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--workers", workers, "--out", out) == 2
     assert_one_line_error(capsys, out)
 
 

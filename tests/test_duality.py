@@ -11,6 +11,7 @@ from vmpnet.duality import (
     corrupted,
     dual_colors_genealogy,
     dual_colors_graph,
+    dual_colors_sweep,
     dual_sample_many,
     duality_gof_test,
     exact_dual_law,
@@ -25,6 +26,7 @@ from vmpnet.duality import (
 )
 from vmpnet.errors import InvalidParameterError, ParityError, StateSpaceError, WindowError
 from vmpnet.lattice_net import ArrowOutcome, Window, arrow_outcomes
+from vmpnet import duality
 from vmpnet.models import VmpParams, forward_batch, potts_params, simple_vmp
 from vmpnet.rng import derive_seed, vertex_uniform
 
@@ -304,6 +306,62 @@ def test_genealogy_corner_rates_equal_forward_and_graph(params, points):
     assert np.array_equal(dual, forward_batch(params, seeds, win.x_min, win.x_max, points))
     for s in range(0, 300, 30):
         assert tuple(int(c) for c in dual[s]) == dual_colors_graph(params, s, points, win)
+
+
+def _sweep_groups():
+    """Groups with different b and kappa, windows, query times and seed shapes,
+    one of them empty."""
+    return [
+        (_q3_asym(0.3, 0.1, "A"), np.arange(200, dtype=np.uint64), [(-1, 2), (1, 2)], None),
+        (_q3_asym(0.35, 0.05, "B"), np.arange(50, 150, dtype=np.uint64).reshape(10, 10),
+         [(1, 0), (0, 3), (2, 1), (0, 3)], Window(-8, 9, 0, 5)),
+        (potts_params(1.5, 3), np.arange(0, dtype=np.uint64), [(0, 5)], None),
+        (_q3_asym(1.0, 0.0, "C"), np.arange(7, dtype=np.uint64), [(0, 3), (2, 3), (1, 2)], None),
+        (simple_vmp(3, 0.0, 0.2), 11, [(3, 6), (-1, 4)], Window(-20, 20, 0, 9)),
+    ]
+
+
+@pytest.mark.parametrize("int64_keys", [False, True], ids=["int32-keys", "int64-keys"])
+def test_sweep_equals_one_call_per_group(monkeypatch, int64_keys):
+    groups = _sweep_groups()
+    alone = [dual_colors_genealogy(*group) for group in groups]
+    if int64_keys:  # the key space no longer fits int32
+        monkeypatch.setattr(duality, "_INT32_KEYS", 10)
+    swept = dual_colors_sweep(groups)
+    assert len(swept) == len(groups)
+    for one, many in zip(alone, swept):
+        assert one.dtype == many.dtype and one.shape == many.shape
+        assert one.tobytes() == many.tobytes()
+    assert swept[2].shape == (0, 1)
+    assert swept[4].shape == (2,)
+
+
+def test_sweep_window_error_is_per_group():
+    params = _q3_asym(0.35, 0.05, "A")
+    pts = [(-1, 4), (1, 4)]
+    narrow = Window(-3, 3, 0, 4)
+    escaped = [s for s in range(300) if _escapes(params, s, pts, narrow)]
+    kept = np.array([s for s in range(300) if s not in escaped], dtype=np.uint64)
+    wide = (params, np.arange(300, dtype=np.uint64), pts, Window(-40, 40, 0, 4))
+    with pytest.raises(WindowError, match=r"escaped window Window\(x_min=-3"):
+        dual_colors_sweep([wide, (params, np.array(escaped[:1], dtype=np.uint64), pts, narrow)])
+    with pytest.raises(WindowError):
+        dual_colors_sweep([(params, np.array(escaped[:1], dtype=np.uint64), pts, narrow), wide])
+    swept = dual_colors_sweep([wide, (params, kept, pts, narrow)])
+    assert np.array_equal(swept[1], swept[0][kept.astype(np.intp)])
+
+
+def _escapes(params, seed, pts, win) -> bool:
+    try:
+        dual_colors_graph(params, seed, pts, win)
+    except WindowError:
+        return True
+    return False
+
+
+def test_sweep_groups_must_share_q():
+    with pytest.raises(InvalidParameterError):
+        dual_colors_sweep([(potts_params(1.5, 3), 1, [(0, 1)], None), (potts_params(LN2, 2), 1, [(0, 1)], None)])
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from vmpnet.errors import InvalidParameterError, WindowError
 from vmpnet.lattice_net import BOTH_CODE, arrow_outcomes
 from vmpnet.models import (
     GeneralVmpSpec,
+    SiteRule,
     VmpParams,
     forward_batch,
     lotka_volterra_decomposition,
@@ -358,10 +359,22 @@ def test_one_step_disagreeing_neighbors_law():
     left, right = np.full(n, 1, dtype=np.uint8), np.full(n, 2, dtype=np.uint8)
     u = vertex_uniform_grid(np.arange(n, dtype=np.uint64), 0, 1)
     outcome = arrow_outcomes(u, params.w, params.kappa)
-    out = site_colors(params, outcome, u[outcome >= BOTH_CODE], left, right)
+    out = site_colors(SiteRule.of([params]), outcome, u[outcome >= BOTH_CODE], left, right)
     row = {-1: 1, 1: 2}
     assert out[:1000].tolist() == [dict(simulate(params, -1, 1, 1, s, initial=row).slices)[1][0] for s in range(1000)]
     counts = np.bincount(out, minlength=4)[1:]
     for c in range(3):
         p = expected[c]
         assert abs(counts[c] / n - p) <= 4 * math.sqrt(p * (1 - p) / n)
+
+
+def test_branch_outcome_at_b_zero_copies_the_right_neighbor():
+    # w may round below 1 - kappa at b = 0; a uniform in that sliver is a
+    # branch outcome, and the site copies its right neighbor
+    params = VmpParams(3, 0.5, 0.0, 0.5 - 1e-13, uniform_boundary_table(3), uniform_colors(3), uniform_colors(3))
+    u = np.array([0.5 + 5e-14, 0.1, 0.3])
+    outcome = arrow_outcomes(u, params.w, params.kappa)
+    assert outcome.tolist() == [BOTH_CODE, 0, 1]
+    left, right = np.array([1, 2, 3], dtype=np.uint8), np.array([2, 3, 1], dtype=np.uint8)
+    out = site_colors(SiteRule.of([params]), outcome, u[outcome >= BOTH_CODE], left, right)
+    assert out.tolist() == [2, 2, 1]
