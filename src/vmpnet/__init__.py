@@ -35,8 +35,6 @@ from .duality import (
     exact_forward_law,
 )
 from .lattice_net import (
-    BACKWARD,
-    FORWARD,
     ArrowField,
     ArrowOutcome,
     KeyedNet,

@@ -287,7 +287,10 @@ def cmd_scaling_experiment(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
     t0 = time.monotonic()
-    if args.preset == "coarsening" or cfg.get("preset") == "coarsening":
+    cfg_preset = expect(cfg, "preset", str, required=False)
+    if cfg_preset not in (None, "coarsening"):
+        raise ConfigError(f"config.preset: unknown preset {cfg_preset!r}; the only preset is 'coarsening'")
+    if "coarsening" in (args.preset, cfg_preset):
         sizes = {k: expect(cfg, k, int) for k in ("trials_interface", "trials_marginal") if k in cfg}
         rep = coarsening_gate(seed=seed, workers=args.workers, **sizes)
         run = RunDir(args.out, "scaling-experiment", cfg, seed)
@@ -313,7 +316,7 @@ def cmd_scaling_experiment(args) -> int:
         b=expect(sched_cfg, "b", float),
         kappa=expect(sched_cfg, "kappa", float),
         q=q,
-        lam=ColorDistribution(q, tuple(lam)) if lam else None,
+        lam=ColorDistribution(q, tuple(lam)) if lam is not None else None,
     )
     raw_points = expect(cfg, "points", list)
     if not all(isinstance(p, list) and len(p) == 2 and all(map(_finite_number, p)) for p in raw_points):
@@ -418,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reduce-graph", help="reduce a DAG fixture to JSON + DOT")
     _add_common(sp)
     sp.add_argument("--fixture", help="DAG JSON fixture path")
-    sp.add_argument("--field-fixture", dest="field_fixture", help="backward ArrowField text fixture")
+    sp.add_argument("--field-fixture", dest="field_fixture", help="ArrowField text fixture (header ends in 'backward')")
     sp.add_argument("--root", help="root vertex 'x,t' for --field-fixture")
     sp.set_defaults(fn=cmd_reduce_graph)
 

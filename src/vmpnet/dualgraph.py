@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidParameterError, ReductionError, StateSpaceError, WindowError
-from .lattice_net import BACKWARD, ArrowOutcome, Vertex, is_odd_vertex
+from .lattice_net import ArrowOutcome, Vertex, is_odd_vertex
 from .rng import rescale_uniform
 
 
@@ -80,14 +80,12 @@ class ReducedDag(RootedDag):
 def build_dag(net, root: Vertex) -> RootedDag:
     """Grow the backward component of ``net`` from ``root`` down to t = 0.
 
-    ``net`` must be backward-oriented (arrows to time t-1).  Vertices at
-    t = 0 become horizon leaves regardless of their outcome; arrowless
-    vertices above it become killing leaves; vertices with both arrows
-    branch.  Raises WindowError if the component would leave the window
-    sideways, the root is outside it or below t = 0, or it starts above t = 0.
+    Arrows point to time t-1.  Vertices at t = 0 become horizon leaves
+    regardless of their outcome; arrowless vertices above it become
+    killing leaves; vertices with both arrows branch.  Raises WindowError
+    if the component would leave the window sideways, the root is outside
+    it or below t = 0, or it starts above t = 0.
     """
-    if net.direction != BACKWARD:
-        raise InvalidParameterError("build_dag requires a backward-oriented net")
     w = net.window
     if not is_odd_vertex(root.x, root.t):
         raise InvalidParameterError(f"root {root} is not on the odd sublattice")

@@ -38,7 +38,7 @@ import numpy as np
 from .coloring import ColorDistribution, boundary_table_from, color_dag
 from .dualgraph import build_dag
 from .errors import InvalidParameterError, ParityError, StateSpaceError, WindowError
-from .lattice_net import BACKWARD, BOTH_CODE, KeyedNet, Vertex, Window, arrow_outcomes
+from .lattice_net import BOTH_CODE, KeyedNet, Vertex, Window, arrow_outcomes
 from .lattice_net import is_odd_vertex
 from .models import SiteRule, VmpParams, _invcdf_rows, forward_batch, potts_params, simple_vmp, site_colors
 from .models import transition_distribution
@@ -220,7 +220,7 @@ def dual_colors_graph(params: VmpParams, seed: int, points, window: Window | Non
     through explicit RootedDag construction and the sequential coloring."""
     pts = as_query_points(points)
     win = window if window is not None else cone_window(pts)
-    net = KeyedNet(params.b, params.kappa, seed, win, direction=BACKWARD)
+    net = KeyedNet(params.b, params.kappa, seed, win)
     return tuple(color_dag(build_dag(net, v), params.g, params.lam, params.p)[v] for v in pts)
 
 

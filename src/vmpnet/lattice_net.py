@@ -4,15 +4,15 @@ Vertices live on Z^2_odd = {(x, t) : x + t odd}.  Each vertex independently
 draws one of four arrow outcomes: a single arrow to its left or right
 time-neighbor (probability (1-b-kappa)/2 each), both arrows (branching,
 probability b), or no arrow at all (killing, probability kappa).  Arrows
-point from (x, t) to (x +- 1, t + direction); direction +1 is the forward
-net, direction -1 the backward net used for color genealogies.
+point from (x, t) to (x +- 1, t - 1): this is the backward net that color
+genealogies follow.
 
 All randomness is keyed per vertex (see :mod:`vmpnet.rng`), so a net is a
-deterministic function of (seed, b, kappa) and the forward and backward
-constructions can share one randomness source.  One vector kernel,
-``arrow_outcomes``, classifies the uniforms for the batched samplers;
-``KeyedNet`` is the per-vertex view of the same net, and ``ArrowField`` a
-net whose outcomes a text fixture pins.
+deterministic function of (seed, b, kappa) and the forward chain can share
+its randomness source.  One vector kernel, ``arrow_outcomes``, classifies
+the uniforms for the batched samplers; ``KeyedNet`` is the per-vertex view
+of the same net, and ``ArrowField`` a net whose outcomes a text fixture
+pins.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ import numpy as np
 
 from .errors import InvalidParameterError, ParityError, WindowError
 from .rng import vertex_uniform
-
-FORWARD = 1
-BACKWARD = -1
 
 
 class Vertex(NamedTuple):
@@ -112,15 +109,12 @@ class KeyedNet:
     its keyed uniform, so no window is ever materialized and enlarging the
     window keeps every outcome."""
 
-    def __init__(self, b: float, kappa: float, seed: int, window: Window, direction: int = BACKWARD):
+    def __init__(self, b: float, kappa: float, seed: int, window: Window):
         validate_probabilities(b, kappa)
-        if direction not in (FORWARD, BACKWARD):
-            raise InvalidParameterError(f"direction must be +1 or -1, got {direction}")
         self.b = float(b)
         self.kappa = float(kappa)
         self.seed = int(seed)
         self.window = window
-        self.direction = direction
 
     def outcome_at(self, x: int, t: int) -> ArrowOutcome:
         if not is_odd_vertex(x, t):
@@ -153,12 +147,12 @@ class ArrowField(KeyedNet):
 
     @classmethod
     def from_text(cls, text: str) -> "ArrowField":
-        """Parse ``window x_min x_max t_min t_max b kappa seed [backward]``
+        """Parse ``window x_min x_max t_min t_max b kappa seed backward``
         and one row of L/R/B/N per time, t_min first; malformed text raises
         InvalidParameterError."""
         lines = text.strip("\n").split("\n")
         head = lines[0].split()
-        if len(head) not in (8, 9) or head[0] != "window" or head[8:] not in ([], ["backward"]):
+        if len(head) != 9 or head[0] != "window" or head[8] != "backward":
             raise InvalidParameterError(f"bad field header: {lines[0]!r}")
         try:
             x_min, x_max, t_min, t_max, seed = (int(v) for v in head[1:5] + head[7:8])
@@ -180,45 +174,7 @@ class ArrowField(KeyedNet):
         grid = np.zeros((len(rows), max(widths)), dtype=np.uint8)
         for r, line in enumerate(rows):
             grid[r, : len(line)] = [int(_CHAR_TO_OUTCOME[c]) for c in line]
-        net = cls(b, kappa, seed, window, BACKWARD if head[8:] else FORWARD)
+        net = cls(b, kappa, seed, window)
         net._grid = grid
         return net
 
-
-def _step_positions(net, positions: set[int], u: int) -> set[int]:
-    """Positions reached one step past time u along the arrows at u."""
-    nxt: set[int] = set()
-    for x in positions:
-        out = net.outcome_at(x, u)
-        if out is ArrowOutcome.LEFT_ONLY or out is ArrowOutcome.BOTH:
-            nxt.add(x - 1)
-        if out is ArrowOutcome.RIGHT_ONLY or out is ArrowOutcome.BOTH:
-            nxt.add(x + 1)
-    return nxt
-
-
-def reachable_positions(
-    net, starts: set[int], t_from: int, t_to: int, x_bounds: tuple[int, int] | None = None
-) -> dict[int, set[int]]:
-    """Branching-coalescing point set with killing, evolved exactly.
-
-    ``starts`` are x positions at time ``t_from``; returns, for each time u
-    in [t_from, t_to], the set of positions occupied by live walkers at u.
-    Walkers at an arrowless vertex appear at their killing time and are
-    then removed.  ``net`` is a KeyedNet (or ArrowField); evolution follows
-    its direction.  ``x_bounds`` drops walkers that leave [lo, hi]; callers
-    use it to clip to a dependence cone that escaped walkers cannot
-    re-enter in time.
-    """
-    d = net.direction
-    occupied: dict[int, set[int]] = {t_from: set(starts)}
-    current = set(starts)
-    u = t_from
-    while u != t_to and current:
-        nxt = _step_positions(net, current, u)
-        if x_bounds is not None:
-            nxt = {x for x in nxt if x_bounds[0] <= x <= x_bounds[1]}
-        u += d
-        occupied[u] = nxt
-        current = nxt
-    return occupied

@@ -33,8 +33,8 @@ from .duality import (  # perfbench's tracer also patches dual_colors_genealogy 
     dual_colors_sweep,
     pooled_two_sample_chisquare,
 )
-from .errors import BudgetError, InvalidParameterError, WindowError
-from .lattice_net import ArrowOutcome, Vertex, Window, _step_positions, reachable_positions
+from .errors import BudgetError, InvalidParameterError
+from .lattice_net import Vertex
 from .models import VmpParams, simple_vmp
 from .parallel import parallel_map
 from .rng import derive_seed, derive_seed_array
@@ -120,67 +120,6 @@ def interface_census(slice_row: dict[int, int], x_lo: int, x_hi: int) -> list[in
     color inside [x_lo, x_hi]."""
     xs = sorted(x for x in slice_row if x_lo <= x <= x_hi)
     return [x + 1 for x, nxt in zip(xs, xs[1:]) if slice_row[x] != slice_row[nxt]]
-
-
-# ---------------------------------------------------------------------------
-# Separation point census
-# ---------------------------------------------------------------------------
-
-def relevant_separation_points(
-    net, s_time: int, t_time: int, x_lo: int, x_hi: int
-) -> list[Vertex]:
-    """Discrete (S,T)-relevant separation points inside the box.
-
-    A branching vertex z at time t in (S, T), reachable by the net from
-    the time-S level, counts when the reachable-position families grown
-    from its two children stay disjoint at every time in (t, U), where U is
-    the earlier of T and the first extinction of either family.  A first
-    contact at a killing vertex ends both colliding walkers at that instant
-    and therefore witnesses relevance; a contact at a live vertex
-    disqualifies.  Exact set evolution, no sampling.
-    """
-    if net.direction != 1:
-        raise InvalidParameterError("census needs a forward-oriented net")
-    if not s_time < t_time:
-        raise InvalidParameterError("need S < T")
-    reach = t_time - s_time
-    need = Window(x_lo - reach, x_hi + reach, s_time, t_time)
-    w = net.window
-    if not (w.x_min <= need.x_min and w.x_max >= need.x_max and w.t_min <= s_time and w.t_max >= t_time):
-        raise WindowError(f"window {w} does not cover the census cone {need}")
-
-    starts = {x for x in range(need.x_min, need.x_max + 1) if (x + s_time) % 2 == 1}
-    occupied = reachable_positions(
-        net, starts, s_time, t_time, x_bounds=(need.x_min, need.x_max)
-    )
-
-    out: list[Vertex] = []
-    for t in range(s_time + 1, t_time):
-        occ = occupied.get(t, set())
-        for x in range(x_lo, x_hi + 1):
-            if (x + t) % 2 != 1 or x not in occ:
-                continue
-            if net.outcome_at(x, t) is not ArrowOutcome.BOTH:
-                continue
-            if _families_separate(net, Vertex(x, t), t_time):
-                out.append(Vertex(x, t))
-    return sorted(out)
-
-
-def _families_separate(net, z: Vertex, horizon: int) -> bool:
-    left = {z.x - 1}
-    right = {z.x + 1}
-    u = z.t + 1
-    while u < horizon:
-        meet = left & right
-        if meet:
-            return any(net.outcome_at(x, u) is ArrowOutcome.NONE for x in meet)
-        left = _step_positions(net, left, u)
-        right = _step_positions(net, right, u)
-        if not left or not right:
-            return True
-        u += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +228,8 @@ def _marginal(schedule: ScalingSchedule, points, trials: int, seed: int):
     """The marginal experiment as an ``_Experiment`` and the function that
     turns its level results into the report."""
     _check_trials(trials, _MARGINAL_MIN_TRIALS)
+    if not points:
+        raise InvalidParameterError("the marginal experiment needs at least one point")
     q = schedule.q
     k = len(points)
     x_extent = max(p[0] for p in points) - min(p[0] for p in points) + 1.0

@@ -33,7 +33,7 @@ from .duality import (
     oracle_settings,
     run_duality_gate,
 )
-from .lattice_net import BACKWARD, KeyedNet, Vertex, Window
+from .lattice_net import KeyedNet, Vertex, Window
 from .models import (
     lotka_volterra_decomposition,
     lotka_volterra_transition,
@@ -178,7 +178,7 @@ def fuzz_dag(index: int, seed: int) -> tuple[RootedDag, tuple]:
     b, kappa = _BK_GRID[index % len(_BK_GRID)]
     t = rng.randint(2, 8)
     w = Window(-t - 1, t + 1, 0, t)
-    net = KeyedNet(b, kappa, derive_seed(seed, "fuzz-net", index), w, direction=BACKWARD)
+    net = KeyedNet(b, kappa, derive_seed(seed, "fuzz-net", index), w)
     rx = 0 if t % 2 == 1 else 1
     dag = build_dag(net, Vertex(rx, t))
     return dag, _fuzz_coloring_inputs(index % 4)
@@ -263,7 +263,7 @@ def gate_order_independence(n_dags: int, n_pairs: int, seed: int) -> dict:
         b, kappa = _BK_GRID[i % len(_BK_GRID)]
         t = rng.randint(3, 8)
         w = Window(-t - 1, t + 1, 0, t)
-        net = KeyedNet(b, kappa, derive_seed(seed, "consistency-net", i), w, direction=BACKWARD)
+        net = KeyedNet(b, kappa, derive_seed(seed, "consistency-net", i), w)
         rx = 0 if t % 2 == 1 else 1
         outer = build_dag(net, Vertex(rx, t))
         i += 1

@@ -277,10 +277,14 @@ _SCALING = {"schedule": {"q": 2, "eps_levels": [0.5, 0.25], "b": 1.0, "kappa": 2
         (["scaling-experiment"], {**_SCALING, "points": [[0.5, 0.3]], "trials": 0}),
         (["scaling-experiment", "--preset", "coarsening"], {"trials_interface": 1, "seed": 1}),
         (["scaling-experiment", "--preset", "coarsening"], {"trials_interface": 2, "trials_marginal": 0, "seed": 1}),
+        (["scaling-experiment"], {**_SCALING, "points": []}),
+        (["scaling-experiment"], {**_SCALING, "schedule": {**_SCALING["schedule"], "lam": []}, "points": [[0.5, 0.3]]}),
+        (["scaling-experiment"], {**_SCALING, "preset": "coarsenin", "points": [[0.5, 0.3]]}),
     ],
     ids=["check-duality-trials", "coarsening-trials-interface", "points-string", "points-float",
          "continuum-point-string", "continuum-point-null", "continuum-point-nan", "continuum-point-bool",
-         "eps-level-nan", "scaling-zero-trials", "coarsening-one-interface-trial", "coarsening-zero-marginal-trials"],
+         "eps-level-nan", "scaling-zero-trials", "coarsening-one-interface-trial", "coarsening-zero-marginal-trials",
+         "scaling-empty-points", "scaling-empty-lam", "unknown-config-preset"],
 )
 def test_bad_integer_config_field_is_config_error(tmp_path, capsys, argv, cfg):
     path = tmp_path / "cfg.json"
@@ -374,12 +378,13 @@ def _dag_with_root_edge(child: int) -> str:
         ("--field-fixture", ""),
         ("--field-fixture", FIELD_TEXT.replace("-4 4 0 4", "-4 4 0 four", 1)),
         ("--field-fixture", FIELD_TEXT.replace("LLBL", "LLQL", 1)),
+        ("--field-fixture", FIELD_TEXT.replace(" backward", "", 1)),
         ("--fixture", b"\xff\xfe"),
         ("--field-fixture", b"\xff\xfe"),
     ],
     ids=["root-to-root-edge", "edge-index-out-of-range", "truncated-json",
          "empty-field", "non-integer-header", "unknown-outcome-letter",
-         "dag-not-utf8", "field-not-utf8"],
+         "header-without-backward", "dag-not-utf8", "field-not-utf8"],
 )
 def test_reduce_graph_malformed_fixture_is_config_error(tmp_path, capsys, flag, text):
     fixture = tmp_path / "fixture"

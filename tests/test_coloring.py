@@ -17,7 +17,7 @@ from vmpnet.coloring import (
 )
 from vmpnet.dualgraph import DagKind, build_dag, dag_from_json, reduce_dag
 from vmpnet.errors import InvalidParameterError
-from vmpnet.lattice_net import BACKWARD, KeyedNet, Vertex, Window
+from vmpnet.lattice_net import KeyedNet, Vertex, Window
 from vmpnet.rng import vertex_uniform
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -133,7 +133,7 @@ def test_fixture_hand_coloring():
 
 
 def test_unanimity_propagates():
-    net = KeyedNet(0.45, 0.0, 123, Window(-9, 9, 0, 7), direction=BACKWARD)
+    net = KeyedNet(0.45, 0.0, 123, Window(-9, 9, 0, 7))
     dag = build_dag(net, Vertex(0, 7))
     lam = point_mass(3, 2)
     colors = color_dag(dag, uniform_boundary_table(3), lam, uniform_colors(3))
@@ -141,7 +141,7 @@ def test_unanimity_propagates():
 
 
 def test_coloring_is_total():
-    net = KeyedNet(0.3, 0.15, 55, Window(-10, 10, 0, 8), direction=BACKWARD)
+    net = KeyedNet(0.3, 0.15, 55, Window(-10, 10, 0, 8))
     dag = build_dag(net, Vertex(1, 8))
     colors = color_dag(dag, uniform_boundary_table(2), uniform_colors(2), uniform_colors(2))
     assert set(colors) == dag.vertices
@@ -177,7 +177,6 @@ def test_reduction_equivalence_fuzz():
             rng.choice([0.0, 0.1, 0.2]),
             500_000 + trial,
             Window(-t - 1, t + 1, 0, t),
-            direction=BACKWARD,
         )
         dag = build_dag(net, Vertex(0 if t % 2 else 1, t))
         q = rng.choice([2, 3])

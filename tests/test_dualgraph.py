@@ -17,10 +17,8 @@ from vmpnet.dualgraph import (
     relevant_points_bruteforce,
     validate_dag,
 )
-from vmpnet.errors import InvalidParameterError, WindowError
+from vmpnet.errors import WindowError
 from vmpnet.lattice_net import (
-    BACKWARD,
-    FORWARD,
     ArrowField,
     KeyedNet,
     Vertex,
@@ -32,7 +30,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def fuzz_net(seed, b=0.3, kappa=0.1, t=6):
     w = Window(-t - 1, t + 1, 0, t)
-    return KeyedNet(b, kappa, seed, w, direction=BACKWARD), Vertex(0 if t % 2 else 1, t)
+    return KeyedNet(b, kappa, seed, w), Vertex(0 if t % 2 else 1, t)
 
 
 # ---------------------------------------------------------------------------
@@ -64,15 +62,8 @@ def test_root_at_horizon_is_leaf():
     assert dag.kinds == {Vertex(1, 0): DagKind.TIME_ZERO_LEAF}
 
 
-def test_build_dag_requires_backward_net():
-    w = Window(-5, 5, 0, 4)
-    net = KeyedNet(0.2, 0.1, 1, w, direction=FORWARD)
-    with pytest.raises(InvalidParameterError):
-        build_dag(net, Vertex(1, 4) if (1 + 4) % 2 else Vertex(0, 4))
-
-
 def test_build_dag_window_escape_errors():
-    net = KeyedNet(1.0, 0.0, 1, Window(-2, 2, 0, 4), direction=BACKWARD)
+    net = KeyedNet(1.0, 0.0, 1, Window(-2, 2, 0, 4))
     with pytest.raises(WindowError):
         build_dag(net, Vertex(0, 4) if (0 + 4) % 2 else Vertex(1, 4))
 
@@ -86,7 +77,6 @@ def test_build_dag_deterministic():
 
 def test_fixture_field_structure():
     field = ArrowField.from_text((FIXTURES / "branching_demo_field.txt").read_text())
-    assert field.direction == BACKWARD
     dag = build_dag(field, Vertex(1, 4))
     expected = dag_from_json((FIXTURES / "branching_demo_dag.json").read_text())
     assert dag.kinds == expected.kinds
@@ -273,7 +263,7 @@ def test_adjacent_roots_differ_only_by_root_more_often_at_fine_scale():
         t = 2 ** (2 * eps_exp - 1)
         for trial in range(n):
             w = Window(-3 * t, 3 * t, 0, t)
-            net = KeyedNet(b, kappa, 1_000_000 * eps_exp + trial, w, direction=BACKWARD)
+            net = KeyedNet(b, kappa, 1_000_000 * eps_exp + trial, w)
             x0 = 0 if t % 2 else 1
             g1 = reduce_dag(build_dag(net, Vertex(x0, t)))
             g2 = reduce_dag(build_dag(net, Vertex(x0 + 2, t)))

@@ -7,8 +7,6 @@ import pytest
 from vmpnet.dualgraph import build_dag
 from vmpnet.errors import InvalidParameterError
 from vmpnet.lattice_net import (
-    BACKWARD,
-    FORWARD,
     ArrowField,
     ArrowOutcome,
     KeyedNet,
@@ -16,7 +14,6 @@ from vmpnet.lattice_net import (
     Window,
     arrow_outcomes,
     outcome_from_uniform,
-    reachable_positions,
 )
 from vmpnet.rng import BELOW_ONE, vertex_uniform, vertex_uniform_grid
 
@@ -80,7 +77,7 @@ def test_determinism_and_window_enlargement():
 
 def test_keyed_net_matches_kernel():
     w = Window(-8, 8, 0, 6)
-    lazy = KeyedNet(0.25, 0.1, 5, w, direction=FORWARD)
+    lazy = KeyedNet(0.25, 0.1, 5, w)
     for x, t, o in zip(*(a.tolist() for a in kernel_net(w, 0.25, 0.1, 5))):
         assert lazy.outcome_at(x, t) == o
 
@@ -121,7 +118,6 @@ def test_invalid_probabilities_rejected():
 def test_fixture_parses():
     field = ArrowField.from_text((FIXTURES / "branching_demo_field.txt").read_text())
     assert (field.window, field.b, field.kappa, field.seed) == (Window(-4, 4, 0, 4), 0.2, 0.1, 999)
-    assert field.direction == BACKWARD
     L, R, B, N = ArrowOutcome
     pinned = {(1, 4): B, (0, 3): R, (2, 3): L, (1, 2): B, (0, 1): N, (2, 1): R, (3, 0): L}
     for (x, t), outcome in pinned.items():
@@ -130,14 +126,3 @@ def test_fixture_parses():
     # seed 999 draws N at (1, 2) and R at (0, 1): the rescaled uniforms clamp
     uniforms = build_dag(field, Vertex(1, 4)).uniforms
     assert uniforms[Vertex(1, 2)] == BELOW_ONE and uniforms[Vertex(0, 1)] == 0.0
-
-
-def test_reachable_positions_with_killing():
-    w = Window(-20, 20, 0, 10)
-    net = KeyedNet(0.0, 1.0, 3, w, direction=FORWARD)  # killed immediately
-    occ = reachable_positions(net, {1, 3}, 0, 10)
-    assert occ[0] == {1, 3}
-    assert occ[1] == set()
-    net2 = KeyedNet(1.0, 0.0, 3, w, direction=FORWARD)  # full binary spread
-    occ2 = reachable_positions(net2, {1}, 0, 5)
-    assert occ2[5] == {-4, -2, 0, 2, 4, 6}

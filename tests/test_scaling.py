@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from vmpnet.coloring import ColorDistribution
-from vmpnet.duality import dual_colors_genealogy, pooled_two_sample_chisquare
-from vmpnet.errors import BudgetError, InvalidParameterError, WindowError
-from vmpnet.lattice_net import FORWARD, KeyedNet, Vertex, Window
+from vmpnet.dualgraph import build_dag, reduce_dag
+from vmpnet.duality import cone_window, dual_colors_genealogy
+from vmpnet.errors import BudgetError, InvalidParameterError
+from vmpnet.lattice_net import KeyedNet, Vertex, Window
 from vmpnet.models import potts_params, simulate
 from vmpnet.rng import derive_seed
 from vmpnet.scaling import (
@@ -18,7 +19,6 @@ from vmpnet.scaling import (
     interface_experiment,
     marginal_convergence_experiment,
     potts_style_schedule,
-    relevant_separation_points,
     snap,
 )
 
@@ -81,62 +81,26 @@ def test_interface_census_trivial():
     assert interface_census(alternating, -9, 9) == list(range(-8, 9, 2))
 
 
-def test_separation_census_no_branching():
-    net = KeyedNet(0.0, 0.1, 3, Window(-25, 25, 0, 14), direction=FORWARD)
-    assert relevant_separation_points(net, 0, 12, -6, 6) == []
-
-
-def test_separation_census_immediate_killing():
-    # kappa = 1: every walker dies at the first step; nothing to separate
-    net = KeyedNet(0.0, 1.0, 3, Window(-25, 25, 0, 14), direction=FORWARD)
-    assert relevant_separation_points(net, 0, 12, -6, 6) == []
-
-
-def test_separation_census_points_are_reachable_branch_vertices():
-    from vmpnet.lattice_net import ArrowOutcome
-
-    net = KeyedNet(0.3, 0.05, 11, Window(-40, 40, 0, 16), direction=FORWARD)
-    pts = relevant_separation_points(net, 0, 12, -8, 8)
-    for v in pts:
-        assert 0 < v.t < 12 and -8 <= v.x <= 8
-        assert net.outcome_at(v.x, v.t) is ArrowOutcome.BOTH
-
-
-def test_separation_census_window_guard():
-    net = KeyedNet(0.2, 0.05, 3, Window(-5, 5, 0, 14), direction=FORWARD)
-    with pytest.raises(WindowError):
-        relevant_separation_points(net, 0, 12, -4, 4)
-
-
-def test_separation_census_requires_forward_net():
-    from vmpnet.lattice_net import BACKWARD
-
-    net = KeyedNet(0.2, 0.05, 3, Window(-30, 30, 0, 14), direction=BACKWARD)
-    with pytest.raises(InvalidParameterError):
-        relevant_separation_points(net, 0, 12, -4, 4)
-
-
-def test_separation_census_cross_level_stability():
-    """Rescaled census in a unit box with continuum (b, kappa) = (1, 1):
-    the count distribution stabilizes across consecutive levels."""
-    def counts_at(level_exp, trials):
-        b, kappa = 2.0 ** -level_exp, 4.0 ** -level_exp
-        t_n = 4 ** level_exp
-        x_n = 2 ** level_exp
-        out = []
-        for i in range(trials):
-            w = Window(-x_n - t_n, x_n + t_n, 0, t_n)
-            net = KeyedNet(b, kappa, derive_seed(7, "census", level_exp, i), w, direction=FORWARD)
-            out.append(len(relevant_separation_points(net, 0, t_n, -x_n, x_n)))
-        return out
-
-    a = counts_at(2, 120)
-    b = counts_at(3, 120)
-    m = max(max(a), max(b)) + 1
-    stat, dof, p, _ = pooled_two_sample_chisquare(
-        np.bincount(a, minlength=m), np.bincount(b, minlength=m)
-    )
-    assert p >= 0.01
+def test_reduced_dag_census_stays_finite_across_levels():
+    """The backward net from one point grows like t_n ~ eps^-2 per level,
+    but its reduction to relevant separation points barely grows: the
+    reduced graphs stay finite as eps -> 0."""
+    sched = potts_style_schedule(3, (3, 4, 5, 6))
+    full_means, reduced_means = [], []
+    for n in range(3):
+        params = sched.level_params(n)
+        root = snap((0.5, 0.5), sched.eps_levels[n])
+        win = cone_window([root])
+        full, reduced = [], []
+        for i in range(60):
+            net = KeyedNet(params.b, params.kappa, derive_seed(7, "reduced-census", n, i), win)
+            dag = build_dag(net, root)
+            full.append(len(dag.kinds))
+            reduced.append(len(reduce_dag(dag).kinds))
+        full_means.append(np.mean(full))
+        reduced_means.append(np.mean(reduced))
+    assert all(b > 3 * a for a, b in zip(full_means, full_means[1:])), full_means
+    assert reduced_means[2] < 1.5 * reduced_means[1], reduced_means
 
 
 # ---------------------------------------------------------------------------
