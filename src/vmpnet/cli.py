@@ -33,7 +33,7 @@ from .duality import (
 )
 from .errors import BudgetError, GateFailure, ParityError, StateSpaceError, VmpNetError, WindowError
 from .models import VmpParams, potts_params, potts_rates, simple_vmp, simulate
-from .runio import ConfigError, RunDir, canonical_json, expect, expect_number_list
+from .runio import ConfigError, RunDir, canonical_json, expect, expect_number_list, int_csv
 from .scaling import ScalingSchedule, coarsening_gate, marginal_convergence_experiment
 from .verify import gate_oracle_equality, run_all
 
@@ -118,15 +118,14 @@ def _parse_points(cfg: dict, flag_value: str | None):
 
 
 def _ascii_map(field) -> str:
-    xs = sorted({x for _, row in field.slices for x in row})
-    lo, hi = xs[0], xs[-1]
-    symbols = "0123456789abcdefghijklmnopqrstuvwxyz"
+    lo = min(xs[0] for _, xs, _ in field.slices)
+    hi = max(xs[-1] for _, xs, _ in field.slices)
+    symbols = np.frombuffer(b"0123456789abcdefghijklmnopqrstuvwxyz", np.uint8)
     lines = []
-    for t, row in reversed(field.slices):
-        line = "".join(
-            symbols[row[x] % len(symbols)] if x in row else "." for x in range(lo, hi + 1)
-        )
-        lines.append(f"t={t:4d} {line}")
+    for t, xs, colors in reversed(field.slices):
+        line = np.full(hi - lo + 1, ord("."), np.uint8)
+        line[xs - lo] = symbols[colors % len(symbols)]
+        lines.append(f"t={t:4d} {line.tobytes().decode()}")
     return "\n".join(lines) + "\n"
 
 
@@ -174,9 +173,8 @@ def cmd_dual_sample(args) -> int:
     run = RunDir(args.out, "dual-sample", {"cfg": cfg, "points": [list(p) for p in points], "trials": trials}, seed)
     t0 = time.monotonic()
     samples = dual_sample_many(params, points, seed, trials)
-    lines = ["trial," + ",".join(f"c{i+1}" for i in range(samples.shape[1]))]
-    lines += [f"{i}," + ",".join(str(int(c)) for c in row) for i, row in enumerate(samples)]
-    run.write("samples.csv", "\n".join(lines) + "\n")
+    header = "trial," + ",".join(f"c{i+1}" for i in range(samples.shape[1]))
+    run.write("samples.csv", int_csv(header, [(np.arange(trials), *samples.T)]))
     q = params.q
     counts = np.bincount(_encode_tuples(samples, q), minlength=q ** samples.shape[1])
     run.write_json(
@@ -309,6 +307,9 @@ def cmd_scaling_experiment(args) -> int:
         return 0 if rep["pass"] else 4
 
     sched_cfg = expect(cfg, "schedule", dict)
+    unknown = sorted(set(sched_cfg) - {"q", "lam", "eps_levels", "b", "kappa"})
+    if unknown:
+        raise ConfigError(f"config.schedule: unknown key {', '.join(map(repr, unknown))}")
     q = expect(sched_cfg, "q", int)
     lam = expect_number_list(sched_cfg, "lam", required=False)
     schedule = ScalingSchedule(

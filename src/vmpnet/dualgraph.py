@@ -106,17 +106,16 @@ def build_dag(net, root: Vertex) -> RootedDag:
             break
         next_frontier: set[Vertex] = set()
         for v in sorted(frontier):
-            u = net.uniform_at(v.x, v.t)
             out = net.outcome_at(v.x, v.t)
             if v.t == 0:
                 kinds[v] = DagKind.TIME_ZERO_LEAF
                 children[v] = ()
-                uniforms[v] = u
+                uniforms[v] = net.uniform_at(v.x, v.t)
                 continue
             if out is ArrowOutcome.NONE:
                 kinds[v] = DagKind.KILLING_LEAF
                 children[v] = ()
-                uniforms[v] = rescale_uniform(u, 1.0 - kappa, kappa)
+                uniforms[v] = rescale_uniform(net.uniform_at(v.x, v.t), 1.0 - kappa, kappa)
                 continue
             if out is ArrowOutcome.LEFT_ONLY:
                 kids = (Vertex(v.x - 1, v.t - 1),)
@@ -124,7 +123,7 @@ def build_dag(net, root: Vertex) -> RootedDag:
                 kids = (Vertex(v.x + 1, v.t - 1),)
             else:
                 kids = (Vertex(v.x - 1, v.t - 1), Vertex(v.x + 1, v.t - 1))
-                uniforms[v] = rescale_uniform(u, walk, b)
+                uniforms[v] = rescale_uniform(net.uniform_at(v.x, v.t), walk, b)
             for c in kids:
                 if not (w.x_min <= c.x <= w.x_max):
                     raise WindowError(
@@ -247,16 +246,9 @@ def reduce_dag(dag: RootedDag) -> ReducedDag:
     uniforms: dict[Vertex, float] = {}
     for v in keep:
         kind = dag.kinds[v]
-        if v == dag.root:
-            kinds[v] = kind  # a leaf root keeps its leaf kind
-        elif kind in LEAF_KINDS:
-            kinds[v] = kind
-        else:
-            kinds[v] = DagKind.BRANCH
-        if kind in LEAF_KINDS:
-            children[v] = ()
-        else:
-            children[v] = tuple(resolve(c) for c in dag.children[v])
+        # the root and the leaves keep their kinds (a leaf root its leaf kind)
+        kinds[v] = kind if v == dag.root or kind in LEAF_KINDS else DagKind.BRANCH
+        children[v] = () if kind in LEAF_KINDS else tuple(resolve(c) for c in dag.children[v])
         if v in dag.uniforms:
             uniforms[v] = dag.uniforms[v]
 
@@ -271,13 +263,8 @@ def differ_only_by_root(g1: RootedDag, g2: RootedDag) -> bool:
     vertex is a graph isomorphism (edge sets correspond exactly)."""
     if g1.vertices - {g1.root} != g2.vertices - {g2.root}:
         return False
-
-    def psi(v: Vertex) -> Vertex:
-        return g2.root if v == g1.root else v
-
-    e1 = {(psi(p), psi(c)) for p, c in g1.edges()}
-    e2 = set(g2.edges())
-    return e1 == e2
+    psi = {g1.root: g2.root}
+    return {(psi.get(p, p), psi.get(c, c)) for p, c in g1.edges()} == set(g2.edges())
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +283,7 @@ def dag_to_json(dag: RootedDag) -> str:
     edges = []
     for p in order:
         kids = dag.children.get(p, ())
-        seen: list[Vertex] = []
-        for c in kids:
-            if c in seen:
-                for e in edges:
-                    if e["parent"] == idx[p] and e["child"] == idx[c]:
-                        e["multiplicity"] += 1
-            else:
-                edges.append({"parent": idx[p], "child": idx[c], "multiplicity": 1})
-                seen.append(c)
+        edges += [{"parent": idx[p], "child": idx[c], "multiplicity": kids.count(c)} for c in dict.fromkeys(kids)]
     doc = {
         "root": {"x": dag.root.x, "t": dag.root.t},
         "reduced": isinstance(dag, ReducedDag),
@@ -388,14 +367,9 @@ def dag_to_dot(dag: RootedDag) -> str:
         DagKind.TIME_ZERO_LEAF: "triangle",
     }
     lines = ["digraph dual {", "  rankdir=TB;"]
-    for v in sorted(dag.kinds):
-        lines.append(
-            f'  "{v.x},{v.t}" [shape={shapes[dag.kinds[v]]} label="({v.x},{v.t})"];'
-        )
-    for p, c in dag.edges():
-        lines.append(f'  "{p.x},{p.t}" -> "{c.x},{c.t}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f'  "{v.x},{v.t}" [shape={shapes[dag.kinds[v]]} label="({v.x},{v.t})"];' for v in sorted(dag.kinds)]
+    lines += [f'  "{p.x},{p.t}" -> "{c.x},{c.t}";' for p, c in dag.edges()]
+    return "\n".join(lines) + "\n}\n"
 
 
 def validate_dag(dag: RootedDag) -> None:

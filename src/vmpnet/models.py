@@ -14,6 +14,8 @@ genealogy vertex once on its way down and colors it with the same
 the dual genealogy built from the same seed produce identical colors.
 ``SiteRule`` stacks the rule's numbers for several parameter groups, so one
 ``site_colors`` call colors the sites of every group in a dual sweep.
+``simulate`` keeps the chain's arrays: each slice of its ``ColorField`` is
+``(t, xs, colors)``, and ``to_csv`` writes them with ``runio.int_csv``.
 
 The module also carries exact algebra for three families: the q-color
 stochastic Potts chain (with detailed-balance verification of its rates),
@@ -106,21 +108,21 @@ def transition_distribution(params: VmpParams, left: int, right: int) -> ColorDi
 
 @dataclass
 class ColorField:
-    """Colors on one parity sublattice: a list of (time, {x: color}) slices."""
+    """Colors on one parity sublattice: a list of (t, xs, colors) slices,
+    ``xs`` the slice's sites in increasing order (int64) and ``colors``
+    their colors (uint8)."""
 
     parity: str  # "odd" or "even": parity of x + t for all stored sites
-    slices: list[tuple[int, dict[int, int]]] = field(default_factory=list)
+    slices: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.parity not in ("odd", "even"):
             raise InvalidParameterError("parity must be 'odd' or 'even'")
 
     def to_csv(self) -> str:
-        lines = ["t,x,color"]
-        for t, row in self.slices:
-            for x in sorted(row):
-                lines.append(f"{t},{x},{row[x]}")
-        return "\n".join(lines) + "\n"
+        from .runio import int_csv
+
+        return int_csv("t,x,color", self.slices)
 
 
 def simulate(
@@ -143,20 +145,19 @@ def simulate(
     if steps < 0:
         raise InvalidParameterError(f"steps must be non-negative, got {steps}")
     want = 1 if parity == "odd" else 0
-    xs = [x for x in range(x_lo, x_hi + 1) if x % 2 == want]
+    xs = np.arange(x_lo + (want - x_lo) % 2, x_hi + 1, 2, dtype=np.int64)
     if len(xs) <= steps:
         raise WindowError(
             f"base [{x_lo},{x_hi}] has {len(xs)} sites; too narrow for {steps} steps"
         )
     colors = None
     if initial is not None:
-        if not all(x in initial for x in xs):
+        if not all(x in initial for x in xs.tolist()):
             raise WindowError("explicit initial slice does not cover the base")
-        colors = np.array([[initial[x] for x in xs]], dtype=np.uint8)
+        colors = np.array([[initial[x] for x in xs.tolist()]], dtype=np.uint8)
     seeds = np.array([seed % (1 << 64)], dtype=np.uint64)
-    rows = _forward_rows(params, seeds, np.array(xs, dtype=np.int64), colors, steps)
-    slices = [(t, dict(zip(xs_t.tolist(), colors_t[0].tolist()))) for t, xs_t, colors_t in rows]
-    return ColorField(parity, slices)
+    rows = _forward_rows(params, seeds, xs, colors, steps)
+    return ColorField(parity, [(t, xs_t, colors_t[0]) for t, xs_t, colors_t in rows])
 
 
 def _invcdf_rows(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
@@ -272,8 +273,7 @@ def forward_batch(
     for t, xs_now, colors_now in _forward_rows(params, seeds, xs, None, t_max):
         for j, (rx, rt) in enumerate(record):
             if rt == t:
-                col = int(np.searchsorted(xs_now, rx))
-                out[:, j] = colors_now[:, col]
+                out[:, j] = colors_now[:, (rx - xs_now[0]) // 2]
     return out
 
 

@@ -69,6 +69,32 @@ def _as_float(v: int | float, path: str) -> float:
         raise ConfigError(f"config.{path}: an integer is too large for a float") from None
 
 
+def int_csv(header: str, blocks: list[tuple]) -> str:
+    """CSV text: ``header``, then the rows of each block.  A block holds per
+    column an int array of its rows' values or one int for all of them.
+    Each value in a column's range is formatted once, into a table of ASCII
+    cells left-padded with zero bytes; a block is one ``take`` per column
+    into a byte matrix, whose nonzero bytes are its lines."""
+    import numpy as np
+
+    tables, width = [], 0
+    for j, column in enumerate(zip(*blocks)):
+        lo, hi = int(min(map(np.min, column))), int(max(map(np.max, column)))
+        end = "\n" if j == len(blocks[0]) - 1 else ","
+        cells = [f"{v}{end}" for v in range(lo, hi + 1)]
+        w = max(map(len, cells))
+        text = "".join(cell.rjust(w, "\0") for cell in cells).encode()
+        tables.append((lo, np.frombuffer(text, np.uint8).reshape(-1, w), slice(width, width + w)))
+        width += w
+    out = [header + "\n"]
+    for block in blocks:
+        m = np.empty((max(map(np.size, block)), width), np.uint8)
+        for (lo, table, cols), c in zip(tables, block):
+            m[:, cols] = table.take(np.subtract(c, lo), axis=0)
+        out.append(m[m != 0].tobytes().decode())
+    return "".join(out)
+
+
 class RunDir:
     """Output directory with a manifest referencing every artifact exactly once."""
 

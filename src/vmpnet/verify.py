@@ -171,17 +171,20 @@ def _fuzz_coloring_inputs(case: int):
     return params.g, params.lam, params.p
 
 
+def _fuzz_net(rng: random.Random, index: int, seed: int, stream: str, t_lo: int) -> tuple[KeyedNet, Vertex]:
+    """Net ``index`` of the (b, kappa) grid, of depth ``rng.randint(t_lo, 8)``
+    and keyed by ``(seed, stream, index)``, and its root."""
+    b, kappa = _BK_GRID[index % len(_BK_GRID)]
+    t = rng.randint(t_lo, 8)
+    net = KeyedNet(b, kappa, derive_seed(seed, stream, index), Window(-t - 1, t + 1, 0, t))
+    return net, Vertex(0 if t % 2 == 1 else 1, t)
+
+
 def fuzz_dag(index: int, seed: int) -> tuple[RootedDag, tuple]:
     """Deterministic fuzzed genealogy of depth 2..8 with its coloring
     inputs: dag index -> (dag, (g, lam, p)), cycling the four cases."""
-    rng = random.Random(derive_seed(seed, "fuzz-dag", index))
-    b, kappa = _BK_GRID[index % len(_BK_GRID)]
-    t = rng.randint(2, 8)
-    w = Window(-t - 1, t + 1, 0, t)
-    net = KeyedNet(b, kappa, derive_seed(seed, "fuzz-net", index), w)
-    rx = 0 if t % 2 == 1 else 1
-    dag = build_dag(net, Vertex(rx, t))
-    return dag, _fuzz_coloring_inputs(index % 4)
+    net, root = _fuzz_net(random.Random(derive_seed(seed, "fuzz-dag", index)), index, seed, "fuzz-net", 2)
+    return build_dag(net, root), _fuzz_coloring_inputs(index % 4)
 
 
 def _reduction_chunk(bounds, seed):
@@ -260,12 +263,8 @@ def gate_order_independence(n_dags: int, n_pairs: int, seed: int) -> dict:
     i = 0
     while checked < n_pairs:
         rng = random.Random(derive_seed(seed, "consistency", i))
-        b, kappa = _BK_GRID[i % len(_BK_GRID)]
-        t = rng.randint(3, 8)
-        w = Window(-t - 1, t + 1, 0, t)
-        net = KeyedNet(b, kappa, derive_seed(seed, "consistency-net", i), w)
-        rx = 0 if t % 2 == 1 else 1
-        outer = build_dag(net, Vertex(rx, t))
+        net, root = _fuzz_net(rng, i, seed, "consistency-net", 3)
+        outer = build_dag(net, root)
         i += 1
         inner_candidates = sorted(v for v in outer.kinds if v != outer.root and v.t >= 1)
         if not inner_candidates:

@@ -107,6 +107,38 @@ def test_dual_sample_artifacts(tmp_path):
     assert lines[0] == "trial,c1,c2" and len(lines) == 501
 
 
+@pytest.mark.parametrize(
+    "points, trials, digest",
+    [
+        ("1,2", 1500, "8a717d074b2e29fe9c5a7ff59a58e643cc03896225e151a47cf600a4ab1c8c16"),
+        ("-1,2 1,2 0,3", 1000, "488aa3ca682871dc63ac58dd308fe3badde7a072b33a0a9e27ca24b70ddc088a"),
+    ],
+    ids=["k1", "k3"],
+)
+def test_dual_sample_csv_golden(tmp_path, points, trials, digest):
+    # digests of the samples.csv written one f-string per row
+    code = run_cli(
+        "dual-sample", "--beta", "1.0", "--q", "3", "--points", points,
+        "--trials", trials, "--seed", "3", "--out", tmp_path / "ds",
+    )
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "ds" / "samples.csv").read_bytes()).hexdigest() == digest
+
+
+def test_simulate_ascii_map_golden(tmp_path, capsys, monkeypatch):
+    # digests of the map and stdout rendered from per-site dicts: colors up
+    # to 12 print as letters, and x runs from -1013 across zero
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(
+        {"model": "simple", "q": 12, "b": 0.3, "kappa": 0.2, "x_lo": -1013, "x_hi": 40, "steps": 30, "seed": 8}
+    ))
+    assert run_cli("simulate", "--config", "cfg.json", "--ascii", "--out", "sim") == 0
+    out = capsys.readouterr().out
+    art = Path("sim", "colorfield.txt").read_bytes()
+    assert hashlib.sha256(art).hexdigest() == "1c21f65b515ce1950b8ce4830d742ee697ded7a65049596e5ecb716a57d39a54"
+    assert hashlib.sha256(out.encode()).hexdigest() == "12496292dcd4fb4f1c1953dd32c7e8b50a6a4d187c21c287f40da48335ceb684"
+
+
 def test_reduce_graph_fixture(tmp_path):
     code = run_cli(
         "reduce-graph", "--fixture", FIXTURES / "branching_demo_dag.json",
@@ -280,11 +312,13 @@ _SCALING = {"schedule": {"q": 2, "eps_levels": [0.5, 0.25], "b": 1.0, "kappa": 2
         (["scaling-experiment"], {**_SCALING, "points": []}),
         (["scaling-experiment"], {**_SCALING, "schedule": {**_SCALING["schedule"], "lam": []}, "points": [[0.5, 0.3]]}),
         (["scaling-experiment"], {**_SCALING, "preset": "coarsenin", "points": [[0.5, 0.3]]}),
+        (["scaling-experiment"],
+         {**_SCALING, "schedule": {**_SCALING["schedule"], "lamb": [0.9, 0.1]}, "points": [[0.5, 0.3]]}),
     ],
     ids=["check-duality-trials", "coarsening-trials-interface", "points-string", "points-float",
          "continuum-point-string", "continuum-point-null", "continuum-point-nan", "continuum-point-bool",
          "eps-level-nan", "scaling-zero-trials", "coarsening-one-interface-trial", "coarsening-zero-marginal-trials",
-         "scaling-empty-points", "scaling-empty-lam", "unknown-config-preset"],
+         "scaling-empty-points", "scaling-empty-lam", "unknown-config-preset", "scaling-schedule-unknown-key"],
 )
 def test_bad_integer_config_field_is_config_error(tmp_path, capsys, argv, cfg):
     path = tmp_path / "cfg.json"

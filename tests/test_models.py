@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,16 +122,16 @@ def test_transition_potts_values():
 def test_step_pure_walk_preserves_unanimity():
     params = simple_vmp(3, 0.0, 0.0)
     row = {x: 2 for x in range(-7, 8, 2)}
-    out = dict(simulate(params, -7, 7, 1, 1, initial=row).slices)[1]
-    assert set(out.values()) == {2}
-    assert sorted(out) == list(range(-6, 7, 2))
+    t, xs, colors = simulate(params, -7, 7, 1, 1, initial=row).slices[1]
+    assert t == 1 and xs.tolist() == list(range(-6, 7, 2))
+    assert set(colors.tolist()) == {2}
 
 
 def test_step_kappa_one_resamples_from_bulk():
     params = VmpParams(3, 0.0, 0.0, 1.0, uniform_boundary_table(3), point_mass(3, 2), uniform_colors(3))
     row = {x: 1 for x in range(-7, 8, 2)}
-    out = dict(simulate(params, -7, 7, 1, 1, initial=row).slices)[1]
-    assert set(out.values()) == {2}
+    _, _, colors = simulate(params, -7, 7, 1, 1, initial=row).slices[1]
+    assert set(colors.tolist()) == {2}
 
 
 def test_step_window_underflow():
@@ -153,31 +154,53 @@ def test_step_window_underflow():
         (_q3_asym(0.3, 0.1), -20, 20, 8, 4,
          {"initial": {x: 1 + (x // 2) % 3 for x in range(-20, 21, 2)}, "parity": "even"},
          "acf7c207cbed22955ebf4d9ee78e5dde0eafc476b4b9a9336dc7736a87432e03"),
+        # two-digit colors, three-digit t, four-digit negative x up to 130
+        (simple_vmp(12, 0.3, 0.2), -1130, 130, 100, 21, {},
+         "15f69be7b7c1b3d411634d44fd8a1dba8331754ebdcb332d94871d3ecd1165d4"),
     ],
 )
 def test_simulate_golden_csv(params, x_lo, x_hi, steps, seed, extra, digest):
-    # digests of the CSVs written by the former per-site scalar chain
+    # digests of the CSVs written by the former per-site scalar chain (the
+    # q = 12 case: by the per-site dict writer)
     field = simulate(params, x_lo, x_hi, steps, seed, **extra)
     assert hashlib.sha256(field.to_csv().encode()).hexdigest() == digest
-    assert {type(v) for _, row in field.slices for v in (*row, *row.values())} == {int}
+    assert {(xs.dtype.name, colors.dtype.name) for _, xs, colors in field.slices} == {("int64", "uint8")}
+
+
+def test_simulate_to_csv_peak_memory():
+    # 320k sites; per-site dicts and one f-string per line peaked at 47 MB
+    tracemalloc.start()
+    try:
+        simulate(potts_params(1.5, 3), -1000, 1000, 400, 42).to_csv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def assert_same_slices(a, b):
+    assert len(a.slices) == len(b.slices)
+    for (ta, xa, ca), (tb, xb, cb) in zip(a.slices, b.slices):
+        assert ta == tb and np.array_equal(xa, xb) and np.array_equal(ca, cb)
 
 
 def test_simulate_deterministic():
     params = potts_params(1.0, 3)
     a = simulate(params, -9, 9, 4, 777)
     b = simulate(params, -9, 9, 4, 777)
-    assert a.slices == b.slices
+    assert_same_slices(a, b)
     assert a.parity == "odd"
 
 
 def test_simulate_matches_forward_batch():
     params = potts_params(LN2, 3)
     for seed in (5, 6, 7):
-        slices = dict(simulate(params, -9, 9, 4, seed).slices)
+        field = simulate(params, -9, 9, 4, seed)
         rec = [(1, 4), (-1, 2), (3, 0), (0, 3)]
         got = forward_batch(params, np.array([seed], dtype=np.uint64), -9, 9, rec)
         for j, (x, t) in enumerate(rec):
-            assert slices[t][x] == int(got[0, j])
+            _, xs, colors = field.slices[t]
+            assert dict(zip(xs.tolist(), colors.tolist()))[x] == int(got[0, j])
 
 
 def test_one_step_law_matches_transition_distribution():
@@ -204,7 +227,7 @@ def test_sublattice_independence():
     noise_odd_b = {x: 3 for x in range(-9, 10, 2)}
     fa = simulate(params, -10, 10, 3, 4, initial={**base_even, **noise_odd_a}, parity="even")
     fb = simulate(params, -10, 10, 3, 4, initial={**base_even, **noise_odd_b}, parity="even")
-    assert fa.slices == fb.slices
+    assert_same_slices(fa, fb)
 
 
 def test_colorfield_csv():
@@ -361,7 +384,8 @@ def test_one_step_disagreeing_neighbors_law():
     outcome = arrow_outcomes(u, params.w, params.kappa)
     out = site_colors(SiteRule.of([params]), outcome, u[outcome >= BOTH_CODE], left, right)
     row = {-1: 1, 1: 2}
-    assert out[:1000].tolist() == [dict(simulate(params, -1, 1, 1, s, initial=row).slices)[1][0] for s in range(1000)]
+    # slice t = 1 holds the one site x = 0
+    assert out[:1000].tolist() == [int(simulate(params, -1, 1, 1, s, initial=row).slices[1][2][0]) for s in range(1000)]
     counts = np.bincount(out, minlength=4)[1:]
     for c in range(3):
         p = expected[c]

@@ -115,7 +115,8 @@ def test_dual_slice_equals_forward_simulate():
     seeds = np.array([1, 2, 3], dtype=np.uint64)
     via_dual = dual_colors_genealogy(params, seeds, [(x, t) for x in xs], win)
     for seed, row in zip((1, 2, 3), via_dual):
-        via_forward = dict(simulate(params, -5 - t, 5 + t, t, seed).slices)[t]
+        _, fxs, fcolors = simulate(params, -5 - t, 5 + t, t, seed).slices[t]
+        via_forward = dict(zip(fxs.tolist(), fcolors.tolist()))
         assert dict(zip(xs, row.tolist())) == {x: via_forward[x] for x in xs}
 
 
