@@ -38,6 +38,8 @@ from .scaling import ScalingSchedule, coarsening_gate, marginal_convergence_expe
 from .verify import gate_oracle_equality, run_all
 
 _GUARD_ERRORS = (WindowError, ParityError, StateSpaceError, BudgetError)
+#: The top-level config keys each model reads.
+_MODEL_KEYS = {"potts": ("model", "beta", "q"), "simple": ("model", "q", "b", "kappa", "g", "p", "lam")}
 
 
 def _load_config(path: str | None) -> dict:
@@ -55,6 +57,13 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
+def _check_keys(cfg: dict, keys, where: str = "config") -> None:
+    """Reject a key outside ``keys``: a misspelled key exits 2, never ignored."""
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+
+
 def _read_utf8(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
@@ -63,8 +72,7 @@ def _read_utf8(path: Path) -> str:
 
 
 def parse_model(cfg: dict) -> VmpParams:
-    """Model configs: {"model": "potts", "beta", "q"} or
-    {"model": "simple", "q", "b", "kappa", "g"?, "p"?, "lam"?}."""
+    """A model config with the keys ``_MODEL_KEYS`` names; g, p, lam optional."""
     model = expect(cfg, "model", str)
     if model == "potts":
         return potts_params(expect(cfg, "beta", float), expect(cfg, "q", int))
@@ -136,7 +144,7 @@ def _ascii_map(field) -> str:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
-    params = _read_model(cfg, args)
+    params = _read_model(cfg, args, ("seed", "x_lo", "x_hi", "steps"))
     x_lo = args.x_lo if args.x_lo is not None else expect(cfg, "x_lo", int)
     x_hi = args.x_hi if args.x_hi is not None else expect(cfg, "x_hi", int)
     steps = args.steps if args.steps is not None else expect(cfg, "steps", int)
@@ -153,19 +161,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_model(cfg: dict, args) -> VmpParams:
-    """The config's top-level model if it names one, else the Potts flags."""
-    if "model" in cfg:
-        return parse_model(cfg)
-    if args.beta is not None and args.q is not None:
-        return parse_model({"model": "potts", "beta": args.beta, "q": args.q})
-    raise ConfigError("provide --config with a model, or --beta and --q for a Potts chain")
+def _read_model(cfg: dict, args, keys: tuple[str, ...]) -> VmpParams:
+    """The config's top-level model if it names one, else the Potts flags.
+    A config key other than ``keys`` and the model's exits 2."""
+    if "model" not in cfg and (args.beta is None or args.q is None):
+        raise ConfigError("provide --config with a model, or --beta and --q for a Potts chain")
+    params = parse_model(cfg if "model" in cfg else {"model": "potts", "beta": args.beta, "q": args.q})
+    _check_keys(cfg, keys + _MODEL_KEYS.get(cfg.get("model"), ()))
+    return params
 
 
 def cmd_dual_sample(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
-    params = _read_model(cfg, args)
+    params = _read_model(cfg, args, ("seed", "points", "trials"))
     points = _parse_points(cfg, args.points)
     trials = args.trials if args.trials is not None else expect(cfg, "trials", int)
     if trials <= 0:
@@ -193,6 +202,7 @@ def cmd_dual_sample(args) -> int:
 
 def cmd_check_duality(args) -> int:
     cfg = _load_config(args.config)
+    _check_keys(cfg, ("seed", "trials"))
     seed = _require_seed(args, cfg)
     trials = args.trials if args.trials is not None else expect(cfg, "trials", int, required=False, default=GOF_TRIALS)
     if trials < GOF_MIN_TRIALS:
@@ -289,6 +299,7 @@ def cmd_scaling_experiment(args) -> int:
     if cfg_preset not in (None, "coarsening"):
         raise ConfigError(f"config.preset: unknown preset {cfg_preset!r}; the only preset is 'coarsening'")
     if "coarsening" in (args.preset, cfg_preset):
+        _check_keys(cfg, ("seed", "preset", "trials_interface", "trials_marginal"))
         sizes = {k: expect(cfg, k, int) for k in ("trials_interface", "trials_marginal") if k in cfg}
         rep = coarsening_gate(seed=seed, workers=args.workers, **sizes)
         run = RunDir(args.out, "scaling-experiment", cfg, seed)
@@ -306,10 +317,9 @@ def cmd_scaling_experiment(args) -> int:
         print(f"coarsening gate: {'pass' if rep['pass'] else 'FAIL'} -> {run.path}")
         return 0 if rep["pass"] else 4
 
+    _check_keys(cfg, ("seed", "schedule", "points", "trials"))
     sched_cfg = expect(cfg, "schedule", dict)
-    unknown = sorted(set(sched_cfg) - {"q", "lam", "eps_levels", "b", "kappa"})
-    if unknown:
-        raise ConfigError(f"config.schedule: unknown key {', '.join(map(repr, unknown))}")
+    _check_keys(sched_cfg, ("q", "lam", "eps_levels", "b", "kappa"), "config.schedule")
     q = expect(sched_cfg, "q", int)
     lam = expect_number_list(sched_cfg, "lam", required=False)
     schedule = ScalingSchedule(

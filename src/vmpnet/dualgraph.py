@@ -11,9 +11,12 @@ keeps the root, the relevant vertices and the leaves, and joins two kept
 vertices when some path of the original graph connects them through
 irrelevant interior vertices only.
 
-Every irrelevant vertex funnels through a single cut vertex, so the first
-kept vertex reached from it is unique; ReductionError signals a violation
-of that invariant.
+Every path from an irrelevant vertex passes its immediate post-dominator
+before it meets a kept vertex, so the one kept vertex it reaches first is
+the first kept vertex up its post-dominator chain; relevance and reduction
+read the same post-dominator pass.  ReductionError signals a skipped
+vertex whose children reach different kept vertices, or a reduced branch
+whose out-degree is not two.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidParameterError, ReductionError, StateSpaceError, WindowError
-from .lattice_net import ArrowOutcome, Vertex, is_odd_vertex
+from .lattice_net import CHILD_OFFSETS, Vertex, is_odd_vertex
 from .rng import rescale_uniform
 
 
@@ -112,17 +115,12 @@ def build_dag(net, root: Vertex) -> RootedDag:
                 children[v] = ()
                 uniforms[v] = net.uniform_at(v.x, v.t)
                 continue
-            if out is ArrowOutcome.NONE:
-                kinds[v] = DagKind.KILLING_LEAF
-                children[v] = ()
+            kids = tuple(Vertex(v.x + d, v.t - 1) for d in CHILD_OFFSETS[out])
+            kinds[v] = (DagKind.KILLING_LEAF, DagKind.PASS_THROUGH, DagKind.BRANCH)[len(kids)]
+            children[v] = kids
+            if not kids:
                 uniforms[v] = rescale_uniform(net.uniform_at(v.x, v.t), 1.0 - kappa, kappa)
-                continue
-            if out is ArrowOutcome.LEFT_ONLY:
-                kids = (Vertex(v.x - 1, v.t - 1),)
-            elif out is ArrowOutcome.RIGHT_ONLY:
-                kids = (Vertex(v.x + 1, v.t - 1),)
-            else:
-                kids = (Vertex(v.x - 1, v.t - 1), Vertex(v.x + 1, v.t - 1))
+            elif len(kids) == 2:
                 uniforms[v] = rescale_uniform(net.uniform_at(v.x, v.t), walk, b)
             for c in kids:
                 if not (w.x_min <= c.x <= w.x_max):
@@ -130,8 +128,6 @@ def build_dag(net, root: Vertex) -> RootedDag:
                         f"component from {root} escaped window sideways at {c}; widen the window"
                     )
                 next_frontier.add(c)
-            kinds[v] = DagKind.BRANCH if len(kids) == 2 else DagKind.PASS_THROUGH
-            children[v] = kids
         frontier = next_frontier
 
     kinds[root] = DagKind.ROOT if kinds[root] in (DagKind.BRANCH, DagKind.PASS_THROUGH) else kinds[root]
@@ -148,20 +144,13 @@ def topological_order(dag: RootedDag) -> list[Vertex]:
     return sorted(dag.kinds, key=lambda v: (v.t, v.x))
 
 
-def relevant_points(dag: RootedDag) -> set[Vertex]:
-    """Non-root vertices with two paths to the leaves disjoint except at
-    the vertex itself: those whose immediate post-dominator is the sink.
-
-    One leaves-to-root pass: a leaf's immediate post-dominator is the
-    sink, a one-child vertex's is its child, and a two-child vertex's is
-    the nearest common ancestor of its children in the post-dominator
-    tree.  Two paths ending at the same leaf meet there, and a repeated
-    child is its own common ancestor, so neither makes a vertex relevant.
-    """
-    sink = None
+def _post_dominators(dag: RootedDag) -> dict[Vertex, Vertex | None]:
+    """Each vertex's immediate post-dominator, the leaves joined to one sink
+    (None), in leaves-to-root order: a leaf's is the sink, a one-child
+    vertex's its child, and a two-child vertex's the nearest common
+    ancestor of its children in the post-dominator tree."""
     ipdom: dict[Vertex, Vertex | None] = {}
-    depth: dict[Vertex | None, int] = {sink: 0}
-    out: set[Vertex] = set()
+    depth: dict[Vertex | None, int] = {None: 0}
     for v in topological_order(dag):
         kids = dag.children.get(v, ())
         if len(kids) == 2:
@@ -172,12 +161,25 @@ def relevant_points(dag: RootedDag) -> set[Vertex]:
                 else:
                     b = ipdom[b]
             ipdom[v] = a
-            if a is sink and v != dag.root:
-                out.add(v)
         else:
-            ipdom[v] = kids[0] if kids else sink
+            ipdom[v] = kids[0] if kids else None
         depth[v] = depth[ipdom[v]] + 1
-    return out
+    return ipdom
+
+
+def _relevant(dag: RootedDag, ipdom: dict[Vertex, Vertex | None]) -> set[Vertex]:
+    return {v for v, d in ipdom.items() if d is None and dag.out_degree(v) == 2 and v != dag.root}
+
+
+def relevant_points(dag: RootedDag) -> set[Vertex]:
+    """Non-root vertices with two paths to the leaves disjoint except at
+    the vertex itself: the two-child vertices whose immediate
+    post-dominator is the sink.
+
+    Two paths ending at the same leaf meet there, and a repeated child is
+    its own common ancestor, so neither makes a vertex relevant.
+    """
+    return _relevant(dag, _post_dominators(dag))
 
 
 def relevant_points_bruteforce(dag: RootedDag) -> set[Vertex]:
@@ -218,40 +220,25 @@ def reduce_dag(dag: RootedDag) -> ReducedDag:
     targets keep the left/right order of its arrows.  Uniforms carry over
     unchanged.
     """
-    rel = relevant_points(dag)
-    keep = set(rel) | {dag.root} | set(dag.leaves())
+    ipdom = _post_dominators(dag)
+    leaves = set(dag.leaves())
+    keep = _relevant(dag, ipdom) | {dag.root} | leaves  # its order is the DOT edge order
 
+    # Every path from a skipped vertex passes its post-dominator before any
+    # kept vertex, so its target is the first kept vertex up that chain.
     target: dict[Vertex, Vertex] = {}
+    for v, d in ipdom.items():  # leaves to root: d and v's children come first
+        if v in keep:
+            target[v] = v
+        elif d is None or any(target[c] != target[d] for c in dag.children[v]):
+            raise ReductionError(f"irrelevant vertex {v} does not reach exactly one kept vertex")
+        else:
+            target[v] = target[d]
 
-    def resolve(v0: Vertex) -> Vertex:
-        stack = [v0]
-        while stack:
-            v = stack[-1]
-            if v in target or v in keep:
-                stack.pop()
-                continue
-            pending = [c for c in dag.children[v] if c not in keep and c not in target]
-            if pending:
-                stack.extend(pending)
-                continue
-            ts = {c if c in keep else target[c] for c in dag.children[v]}
-            if len(ts) != 1:
-                raise ReductionError(f"irrelevant vertex {v} reaches multiple kept vertices {ts}")
-            target[v] = next(iter(ts))
-            stack.pop()
-        return v0 if v0 in keep else target[v0]
-
-    kinds: dict[Vertex, DagKind] = {}
-    children: dict[Vertex, tuple[Vertex, ...]] = {}
-    uniforms: dict[Vertex, float] = {}
-    for v in keep:
-        kind = dag.kinds[v]
-        # the root and the leaves keep their kinds (a leaf root its leaf kind)
-        kinds[v] = kind if v == dag.root or kind in LEAF_KINDS else DagKind.BRANCH
-        children[v] = () if kind in LEAF_KINDS else tuple(resolve(c) for c in dag.children[v])
-        if v in dag.uniforms:
-            uniforms[v] = dag.uniforms[v]
-
+    # the root and the leaves keep their kinds (a leaf root its leaf kind)
+    kinds = {v: dag.kinds[v] if v == dag.root or v in leaves else DagKind.BRANCH for v in keep}
+    children = {v: () if v in leaves else tuple(target[c] for c in dag.children[v]) for v in keep}
+    uniforms = {v: dag.uniforms[v] for v in keep if v in dag.uniforms}
     for v, kids in children.items():
         if v != dag.root and kinds[v] is DagKind.BRANCH and len(kids) != 2:
             raise ReductionError(f"reduced vertex {v} has out-degree {len(kids)}")

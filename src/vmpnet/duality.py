@@ -38,7 +38,7 @@ import numpy as np
 from .coloring import ColorDistribution, boundary_table_from, color_dag
 from .dualgraph import build_dag
 from .errors import InvalidParameterError, ParityError, StateSpaceError, WindowError
-from .lattice_net import BOTH_CODE, KeyedNet, Vertex, Window, arrow_outcomes
+from .lattice_net import BOTH_CODE, CHILD_OFFSETS, KeyedNet, Vertex, Window, arrow_outcomes
 from .lattice_net import is_odd_vertex
 from .models import SiteRule, VmpParams, _invcdf_rows, forward_batch, potts_params, simple_vmp, site_colors
 from .models import transition_distribution
@@ -104,9 +104,8 @@ def _drop_repeats(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-#: Per outcome code (L, R, Both, None), whether the vertex reads its child at
-#: x - 1 and at x + 1.
-_READS = np.array([[True, False], [False, True], [True, True], [False, False]])
+#: Per outcome code, whether the vertex reads its child at x - 1 and at x + 1.
+_READS = np.array([[d in offsets for d in (-1, 1)] for offsets in CHILD_OFFSETS])
 
 
 def dual_colors_genealogy(params: VmpParams, seeds, points, window: Window | None = None) -> np.ndarray:
@@ -357,7 +356,7 @@ def exact_dual_law(params: VmpParams, points) -> JointColorLaw:
             for x in range(v.x - (v.t - t), v.x + (v.t - t) + 1, 2)
         }
     )
-    # outcome codes index _CHILD_OFFSETS: L, R, Both, None
+    # outcome codes index CHILD_OFFSETS: L, R, Both, None
     probs = (0.5 * params.w, 0.5 * params.w, params.b, params.kappa)
     support = [(o, pr) for o, pr in enumerate(probs) if pr > 0.0]
 
@@ -373,10 +372,6 @@ def exact_dual_law(params: VmpParams, points) -> JointColorLaw:
         outcomes = {v: o for v, (o, _) in zip(decision, config)}
         total += math.prod(pr for _, pr in config) * _dag_union_law(params, pts, outcomes)
     return JointColorLaw(q, total)
-
-
-#: Child x-offsets of a vertex per arrow outcome code: L, R, Both, None.
-_CHILD_OFFSETS = ((-1,), (1,), (-1, 1), ())
 
 
 def _dag_union_law(params: VmpParams, pts: list[Vertex], outcomes: dict[Vertex, int]) -> np.ndarray:
@@ -395,7 +390,7 @@ def _dag_union_law(params: VmpParams, pts: list[Vertex], outcomes: dict[Vertex, 
     while stack:
         v = stack.pop()
         if v not in children:
-            offsets = _CHILD_OFFSETS[outcomes[v]] if v.t > 0 else ()
+            offsets = CHILD_OFFSETS[outcomes[v]] if v.t > 0 else ()
             children[v] = tuple(Vertex(v.x + d, v.t - 1) for d in offsets)
             stack.extend(children[v])
     pending = Counter(c for kids in children.values() for c in kids)

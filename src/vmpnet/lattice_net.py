@@ -43,6 +43,10 @@ class ArrowOutcome(IntEnum):
 #: ``ArrowOutcome`` as the uint8 codes the vector kernels use.
 LEFT_CODE, RIGHT_CODE, BOTH_CODE, NONE_CODE = (np.uint8(o) for o in ArrowOutcome)
 
+#: Per ``ArrowOutcome`` code, the x-offsets d of the vertex's arrows, each
+#: from (x, t) to its child (x + d, t - 1), left arrow first.
+CHILD_OFFSETS = ((-1,), (1,), (-1, 1), ())
+
 _OUTCOME_CHARS = "LRBN"
 _CHAR_TO_OUTCOME = {c: ArrowOutcome(i) for i, c in enumerate(_OUTCOME_CHARS)}
 

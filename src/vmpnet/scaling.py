@@ -115,11 +115,10 @@ def snap(point: tuple[float, float], eps: float) -> Vertex:
 # Slice censuses
 # ---------------------------------------------------------------------------
 
-def interface_census(slice_row: dict[int, int], x_lo: int, x_hi: int) -> list[int]:
-    """Boundary midpoints between adjacent same-parity sites of different
-    color inside [x_lo, x_hi]."""
-    xs = sorted(x for x in slice_row if x_lo <= x <= x_hi)
-    return [x + 1 for x, nxt in zip(xs, xs[1:]) if slice_row[x] != slice_row[nxt]]
+def interface_census(xs: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """Boundary midpoints between adjacent sites of different color in a
+    slice whose sites ``xs`` increase in steps of two."""
+    return xs[:-1][colors[:-1] != colors[1:]] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +158,8 @@ def _marginal_chunk(job, colors, levels, q, k):
 
 
 def _interface_chunk(job, rows, levels):
-    xs = [v.x for v in levels[job[0]]["snapped"]]
-    return [len(interface_census(dict(zip(xs, row.tolist())), xs[0], xs[-1])) for row in rows]
+    xs = np.array([v.x for v in levels[job[0]]["snapped"]])
+    return [len(interface_census(xs, row)) for row in rows]
 
 
 @dataclass(frozen=True)

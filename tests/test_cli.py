@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmpnet import scaling
-from vmpnet.cli import main, parse_model
+from vmpnet.cli import _MODEL_KEYS, main, parse_model
 from vmpnet.coloring import MAX_COLORS
 from vmpnet.dualgraph import dag_from_json
 from vmpnet.errors import VmpNetError
@@ -326,6 +327,53 @@ def test_bad_integer_config_field_is_config_error(tmp_path, capsys, argv, cfg):
     out = tmp_path / "run"
     assert run_cli(*argv, "--config", path, "--out", out) == 2
     assert_one_line_error(capsys, out)
+
+
+@pytest.mark.parametrize(
+    "argv, cfg, key",
+    [
+        (["dual-sample"],
+         {"model": "simple", "q": 2, "b": 0.2, "kappa": 0.1, "lamb": [0.9, 0.1], "points": [[1, 2]], "trials": 10,
+          "seed": 1}, "lamb"),
+        (["simulate"], {**_POTTS, "x_lo": -4, "x_hi": 4, "steps": 1, "stpes": 99}, "stpes"),
+        (["scaling-experiment", "--preset", "coarsening"], {"trials_interfce": 2, "seed": 1}, "trials_interfce"),
+        (["check-duality"], {"trails": 10000, "seed": 1}, "trails"),
+    ],
+    ids=["dual-sample-lamb", "simulate-stpes", "coarsening-trials-interfce", "check-duality-trails"],
+)
+def test_unknown_config_key_is_config_error(tmp_path, capsys, argv, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--config", path, "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: config: unknown key {key!r}"]
+    assert not out.exists()
+
+
+def _readme_configs():
+    """The README's ``scaling-experiment`` config block and its model configs."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    scaling_cfg = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+    return scaling_cfg, [json.loads(m) for m in re.findall(r'`(\{"model".*?\})`', text, re.S)]
+
+
+def test_readme_configs_run(tmp_path):
+    scaling_cfg, models = _readme_configs()
+    assert [m["model"] for m in models] == list(_MODEL_KEYS)
+    for m in models:
+        assert sorted(m) == sorted(_MODEL_KEYS[m["model"]])  # the README shows every key a model reads
+        for argv, extra in (
+            (["simulate"], {"x_lo": -6, "x_hi": 6, "steps": 2}),
+            (["dual-sample"], {"points": [[1, 2], [-1, 2]], "trials": 10}),
+        ):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({**m, **extra, "seed": 1}))
+            out = tmp_path / f"{argv[0]}-{m['model']}"
+            assert run_cli(*argv, "--config", path, "--out", out) == 0
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(scaling_cfg))
+    assert run_cli("scaling-experiment", "--config", path, "--seed", "7", "--out", tmp_path / "marg") == 0
+    assert len(json.loads((tmp_path / "marg" / "marginal.json").read_text())["laws"]) == 3
 
 
 def test_coarsening_checks_both_trial_floors_before_any_experiment(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from vmpnet import dualgraph
 from vmpnet.dualgraph import (
     DagKind,
     ReducedDag,
@@ -17,7 +18,7 @@ from vmpnet.dualgraph import (
     relevant_points_bruteforce,
     validate_dag,
 )
-from vmpnet.errors import WindowError
+from vmpnet.errors import ReductionError, WindowError
 from vmpnet.lattice_net import (
     ArrowField,
     KeyedNet,
@@ -162,11 +163,32 @@ def test_relevance_equals_bruteforce_on_larger_fuzz():
             continue
         assert relevant_points(dag) == relevant_points_bruteforce(dag)
         red = reduce_dag(dag)
+        _assert_reduced_edges(dag, red)
+        _assert_reduced_edges(red, reduce_dag(red))
         assert relevant_points(red) == relevant_points_bruteforce(red)
         checked += 1
         if checked == 400:
             break
     assert checked == 400
+
+
+def _assert_reduced_edges(dag, red):
+    """Every path from each child of a kept vertex first meets one kept
+    vertex, and it is the reduced child in that arrow's place.  Paths are
+    enumerated one by one, as in relevant_points_bruteforce."""
+    keep = set(red.kinds)
+    for v in keep:
+        assert len(red.children[v]) == len(dag.children[v])
+        for c, reduced in zip(dag.children[v], red.children[v]):
+            firsts = set()
+            stack = [c]
+            while stack:
+                u = stack.pop()
+                if u in keep:
+                    firsts.add(u)
+                else:
+                    stack.extend(dag.children[u])
+            assert firsts == {reduced}, (v, c)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +238,27 @@ def _connected_through_irrelevant(dag, parent, child, keep):
             stack.append(c)
         first = False
     return False
+
+
+def test_reduce_rejects_a_broken_invariant(monkeypatch):
+    field = ArrowField.from_text((FIXTURES / "branching_demo_field.txt").read_text())
+    dag = build_dag(field, Vertex(1, 4))
+    z, leaf = Vertex(1, 2), Vertex(0, 1)
+    assert dag.children[z][0] == leaf and relevant_points(dag) == {z}
+    post_dominators = dualgraph._post_dominators
+
+    def z_skipped(g):  # z's two routes end at different kept vertices
+        return {**post_dominators(g), z: leaf}
+
+    monkeypatch.setattr(dualgraph, "_post_dominators", z_skipped)
+    with pytest.raises(ReductionError, match="does not reach exactly one kept vertex"):
+        reduce_dag(dag)
+    monkeypatch.undo()
+    one_child = Vertex(2, 3)
+    assert dag.out_degree(one_child) == 1
+    monkeypatch.setattr(dualgraph, "_relevant", lambda g, ipdom: {z, one_child})
+    with pytest.raises(ReductionError, match="out-degree 1"):
+        reduce_dag(dag)
 
 
 def test_reduce_idempotent_on_reduced():

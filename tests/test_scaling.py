@@ -75,10 +75,11 @@ def test_schedule_validation():
 # ---------------------------------------------------------------------------
 
 def test_interface_census_trivial():
-    mono = {x: 2 for x in range(-9, 10, 2)}
-    assert interface_census(mono, -9, 9) == []
-    alternating = {x: 1 + ((x + 9) // 2) % 2 for x in range(-9, 10, 2)}
-    assert interface_census(alternating, -9, 9) == list(range(-8, 9, 2))
+    xs = np.arange(-9, 10, 2)
+    assert interface_census(xs, np.full(xs.size, 2, dtype=np.uint8)).tolist() == []
+    alternating = (1 + ((xs + 9) // 2) % 2).astype(np.uint8)
+    assert interface_census(xs, alternating).tolist() == list(range(-8, 9, 2))
+    assert interface_census(xs, np.array([1, 1, 2, 2, 2, 3, 1, 1, 1, 2], dtype=np.uint8)).tolist() == [-6, 0, 2, 8]
 
 
 def test_reduced_dag_census_stays_finite_across_levels():
